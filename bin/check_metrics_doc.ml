@@ -7,7 +7,8 @@
    registered instrument name (labeled series collapse to their base
    name) and every declared labeled family must be mentioned in
    docs/METRICS.md — a new counter without documentation fails the
-   build.
+   build. So must every trace event's wire name and field key, read
+   from the trace schema.
 
    Run from the `metrics-doc` dune alias, part of tier-1 runtest. *)
 
@@ -69,15 +70,19 @@ let () =
       (List.length names);
     exit 2
   end;
-  let missing = List.filter (fun n -> not (contains_word doc n)) names in
-  match missing with
-  | [] -> ()
-  | ms ->
-      List.iter
-        (fun n ->
-          Printf.eprintf
-            "check_metrics_doc: metric %S is registered at runtime but not \
-             documented in docs/METRICS.md\n"
-            n)
-        ms;
-      exit 1
+  let undocumented describe ns =
+    List.filter_map
+      (fun n -> if contains_word doc n then None else Some (describe n))
+      ns
+  in
+  let missing =
+    undocumented (Printf.sprintf "metric %S is registered at runtime but not") names
+    @ List.concat_map
+        (fun (ev, keys) ->
+          undocumented (Printf.sprintf "trace event %S: %S is not" ev) (ev :: keys))
+        Obs.Trace.wire_names
+  in
+  List.iter
+    (Printf.eprintf "check_metrics_doc: %s documented in docs/METRICS.md\n")
+    missing;
+  if missing <> [] then exit 1

@@ -352,23 +352,15 @@ let convert events =
 
 (* --- serialisation --- *)
 
-let escape s =
+let quoted s =
   let b = Buffer.create (String.length s + 2) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
+  Buffer.add_char b '"';
+  Trace.add_escaped b s;
+  Buffer.add_char b '"';
   Buffer.contents b
 
 let value_to_json = function
-  | Trace.S s -> "\"" ^ escape s ^ "\""
+  | Trace.S s -> quoted s
   | Trace.I i -> string_of_int i
   | Trace.F f ->
       if Float.is_integer f && Float.abs f < 1e15 then
@@ -378,10 +370,10 @@ let value_to_json = function
 let event_to_json e =
   let b = Buffer.create 128 in
   Buffer.add_string b
-    (Printf.sprintf "{\"name\":\"%s\",\"cat\":\"%s\",\"ph\":\"%s\",\"ts\":%.3f,\"pid\":%d,\"tid\":%d"
-       (escape e.name) (escape e.cat) e.ph e.ts_us e.pid e.tid);
+    (Printf.sprintf "{\"name\":%s,\"cat\":%s,\"ph\":\"%s\",\"ts\":%.3f,\"pid\":%d,\"tid\":%d"
+       (quoted e.name) (quoted e.cat) e.ph e.ts_us e.pid e.tid);
   (match e.scope with
-  | Some s -> Buffer.add_string b (Printf.sprintf ",\"s\":\"%s\"" (escape s))
+  | Some s -> Buffer.add_string b (",\"s\":" ^ quoted s)
   | None -> ());
   (match e.args with
   | [] -> ()
@@ -391,7 +383,7 @@ let event_to_json e =
         (fun i (k, v) ->
           if i > 0 then Buffer.add_char b ',';
           Buffer.add_string b
-            (Printf.sprintf "\"%s\":%s" (escape k) (value_to_json v)))
+            (Printf.sprintf "%s:%s" (quoted k) (value_to_json v)))
         args;
       Buffer.add_char b '}');
   Buffer.add_char b '}';

@@ -15,10 +15,10 @@
     and validates like any full trace. {!Obs.Monitor} attaches the last
     few ring entries to each violation record as context.
 
-    A compact binary codec ({!to_compact}/{!of_compact}) snapshots a
-    ring into a single string — used on the crash path, where bounded
-    memory capture must not open files — and round-trips exactly
-    (encode∘decode = id, QCheck-verified). *)
+    {!to_compact}/{!of_compact} snapshot a ring into a single string
+    in {!Trace}'s compact binary form — used on the crash path, where
+    bounded memory capture must not open files — and round-trip
+    exactly (encode∘decode = id, QCheck-verified). *)
 
 type t
 (** A ring. Recording into it never blocks, allocates or touches
@@ -80,22 +80,12 @@ val dump_installed : unit -> (string * int) option
     path. Called on strict-violation exit and at the scripted
     fabric-chaos crash. *)
 
-(** {1 Compact codec} *)
-
-val encode_compact : Buffer.t -> Dcsim.Simtime.t -> Trace.event -> unit
-(** Append one stamped event: a zigzag-varint nanosecond stamp, a
-    constructor tag byte, then zigzag-varint ints, length-prefixed
-    strings and 8-byte IEEE-bits floats (exact round trip, NaN
-    included). *)
-
-val decode_compact : string -> pos:int ref -> (Dcsim.Simtime.t * Trace.event) option
-(** Decode one stamped event starting at [!pos], advancing [pos] past
-    it; [None] on malformed input ([pos] is then unspecified). Inverse
-    of {!encode_compact}. *)
+(** {1 Compact snapshots} *)
 
 val to_compact : t -> string
-(** Snapshot the whole ring (entry count, then each entry oldest-first)
-    as one compact binary string. *)
+(** Snapshot the whole ring as one binary string: a zigzag-varint entry
+    count, then each entry oldest-first in {!Trace.encode_compact}
+    form. *)
 
 val of_compact : string -> (Dcsim.Simtime.t * Trace.event) list option
 (** Inverse of {!to_compact}; [None] on malformed or trailing input. *)

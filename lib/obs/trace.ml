@@ -102,23 +102,35 @@ let proto_of_token = function
       | None -> None)
   | _ -> None
 
-let field f = function None -> "*" | Some v -> f v
+(* The pattern codec's alphabet (dotted quads, ints, '*', '/', "tcp",
+   "p<n>") never needs JSON escaping, so it can stream field by field. *)
+let add_pattern b (p : Fkey.Pattern.t) =
+  let fld f v = match v with None -> Buffer.add_char b '*' | Some x -> f x in
+  let ip v = Buffer.add_string b (Ipv4.to_string v) in
+  let int v = Buffer.add_string b (string_of_int v) in
+  fld ip p.Fkey.Pattern.src_ip;
+  Buffer.add_char b '/';
+  fld ip p.dst_ip;
+  Buffer.add_char b '/';
+  fld int p.src_port;
+  Buffer.add_char b '/';
+  fld int p.dst_port;
+  Buffer.add_char b '/';
+  fld (fun pr -> Buffer.add_string b (proto_to_token pr)) p.proto;
+  Buffer.add_char b '/';
+  fld (fun t -> int (Tenant.to_int t)) p.tenant
 
-let pattern_to_string (p : Fkey.Pattern.t) =
-  String.concat "/"
-    [
-      field Ipv4.to_string p.Fkey.Pattern.src_ip;
-      field Ipv4.to_string p.dst_ip;
-      field string_of_int p.src_port;
-      field string_of_int p.dst_port;
-      field proto_to_token p.proto;
-      field (fun t -> string_of_int (Tenant.to_int t)) p.tenant;
-    ]
+let pattern_to_string p =
+  let b = Buffer.create 48 in
+  add_pattern b p;
+  Buffer.contents b
 
 let unfield f = function "*" -> Some None | s -> Option.map Option.some (f s)
 
 let ip_of_string_opt s =
   match Ipv4.of_string s with ip -> Some ip | exception _ -> None
+
+let tenant_of_int_opt n = if n >= 0 then Some (Tenant.of_int n) else None
 
 let pattern_of_string s =
   match String.split_on_char '/' s with
@@ -130,20 +142,15 @@ let pattern_of_string s =
       let* dst_port = unfield int_of_string_opt dp in
       let* proto = unfield proto_of_token pr in
       let* tenant =
-        unfield
-          (fun s ->
-            match int_of_string_opt s with
-            | Some n when n >= 0 -> Some (Tenant.of_int n)
-            | _ -> None)
-          te
+        unfield (fun s -> Option.bind (int_of_string_opt s) tenant_of_int_opt) te
       in
       Some
         { Fkey.Pattern.src_ip; dst_ip; src_port; dst_port; proto; tenant })
   | _ -> None
 
-(* --- JSONL encoding --- *)
+(* --- JSON primitives --- *)
 
-(* All field writers append straight into the caller's buffer: the only
+(* All writers append straight into the caller's buffer: the only
    per-field allocations left are the payload strings themselves
    (string_of_int, Ipv4.to_string) and the float formatter — no
    Printf.sprintf per key, no intermediate escaped copy. *)
@@ -169,178 +176,10 @@ let key b k =
   Buffer.add_string b k;
   Buffer.add_string b "\":"
 
-let kv_s b k v =
-  key b k;
+let quoted b add v =
   Buffer.add_char b '"';
-  add_escaped b v;
+  add b v;
   Buffer.add_char b '"'
-
-let kv_i b k v =
-  key b k;
-  Buffer.add_string b (string_of_int v)
-
-let kv_f b k v =
-  (* %.17g round-trips every finite float exactly. *)
-  key b k;
-  Buffer.add_string b (Printf.sprintf "%.17g" v)
-
-(* The pattern codec's alphabet (dotted quads, ints, '*', '/', "tcp",
-   "p<n>") never needs JSON escaping, so it can stream field by field. *)
-let add_pattern b (p : Fkey.Pattern.t) =
-  let fld f v =
-    (match v with None -> Buffer.add_char b '*' | Some x -> f x)
-  in
-  let ip v = Buffer.add_string b (Ipv4.to_string v) in
-  let int v = Buffer.add_string b (string_of_int v) in
-  fld ip p.Fkey.Pattern.src_ip;
-  Buffer.add_char b '/';
-  fld ip p.dst_ip;
-  Buffer.add_char b '/';
-  fld int p.src_port;
-  Buffer.add_char b '/';
-  fld int p.dst_port;
-  Buffer.add_char b '/';
-  fld (fun pr -> Buffer.add_string b (proto_to_token pr)) p.proto;
-  Buffer.add_char b '/';
-  fld (fun t -> int (Tenant.to_int t)) p.tenant
-
-let kv_pattern b k p =
-  key b k;
-  Buffer.add_char b '"';
-  add_pattern b p;
-  Buffer.add_char b '"'
-
-let kv_tenant b k t = kv_i b k (Tenant.to_int t)
-let kv_ip b k ip = kv_s b k (Ipv4.to_string ip)
-
-let encode_into b now event =
-  Buffer.add_string b "{\"t_ns\":";
-  Buffer.add_string b (string_of_int (Simtime.to_ns now));
-  Buffer.add_string b ",\"t\":";
-  Buffer.add_string b (Printf.sprintf "%.9f" (Simtime.to_sec now));
-  let ev name = kv_s b "ev" name in
-  (match event with
-  | Flow_promoted { pattern; tenant; vm_ip; server; score; tcam_entries } ->
-      ev "flow_promoted";
-      kv_pattern b "pattern" pattern;
-      kv_tenant b "tenant" tenant;
-      kv_ip b "vm_ip" vm_ip;
-      kv_s b "server" server;
-      kv_f b "score" score;
-      kv_i b "tcam_entries" tcam_entries
-  | Flow_demoted { pattern; tenant; vm_ip; server; reason } ->
-      ev "flow_demoted";
-      kv_pattern b "pattern" pattern;
-      kv_tenant b "tenant" tenant;
-      kv_ip b "vm_ip" vm_ip;
-      kv_s b "server" server;
-      kv_s b "reason" reason
-  | Tcam_install { tenant; entries; used; capacity } ->
-      ev "tcam_install";
-      kv_tenant b "tenant" tenant;
-      kv_i b "entries" entries;
-      kv_i b "used" used;
-      kv_i b "capacity" capacity
-  | Tcam_evict { tenant; entries; used; capacity } ->
-      ev "tcam_evict";
-      kv_tenant b "tenant" tenant;
-      kv_i b "entries" entries;
-      kv_i b "used" used;
-      kv_i b "capacity" capacity
-  | Fps_split { vm_ip; direction; soft_bps; hard_bps; total_bps; overflow_bps } ->
-      ev "fps_split";
-      kv_ip b "vm_ip" vm_ip;
-      kv_s b "dir" (match direction with Tx -> "tx" | Rx -> "rx");
-      kv_f b "soft_bps" soft_bps;
-      kv_f b "hard_bps" hard_bps;
-      kv_f b "total_bps" total_bps;
-      kv_f b "overflow_bps" overflow_bps
-  | Path_transition { vm_ip; pattern; path } ->
-      ev "path_transition";
-      kv_ip b "vm_ip" vm_ip;
-      kv_pattern b "pattern" pattern;
-      kv_s b "path" (match path with Software -> "software" | Express -> "express")
-  | Rule_pushed { server; pattern; push; seq } ->
-      ev "rule_pushed";
-      kv_s b "server" server;
-      kv_pattern b "pattern" pattern;
-      kv_s b "push" (match push with `Offload -> "offload" | `Demote -> "demote");
-      kv_i b "seq" seq
-  | Epoch_tick { me; epoch; interval } ->
-      ev "epoch_tick";
-      kv_s b "me" me;
-      kv_i b "epoch" epoch;
-      kv_i b "interval" interval
-  | Ctrl_drop { channel } ->
-      ev "ctrl_drop";
-      kv_s b "channel" channel
-  | Ctrl_retry { server; seq; attempt; span } ->
-      ev "ctrl_retry";
-      kv_s b "server" server;
-      kv_i b "seq" seq;
-      kv_i b "attempt" attempt;
-      kv_i b "span" span
-  | Peer_state { server; alive } ->
-      ev "peer_state";
-      kv_s b "server" server;
-      kv_s b "state" (if alive then "alive" else "dead")
-  | Lane_state { lane; up } ->
-      ev "lane_state";
-      kv_s b "lane" lane;
-      kv_s b "state" (if up then "up" else "down")
-  | Tcam_error { tenant; kind; entries } ->
-      ev "tcam_error";
-      kv_tenant b "tenant" tenant;
-      kv_s b "kind" kind;
-      kv_i b "entries" entries
-  | Flow_progress { flow; sent; acked } ->
-      ev "flow_progress";
-      kv_s b "flow" flow;
-      kv_i b "sent" sent;
-      kv_i b "acked" acked
-  | Migration_stage { vm_ip; stage } ->
-      ev "migration";
-      kv_ip b "vm_ip" vm_ip;
-      kv_s b "stage"
-        (match stage with
-        | `Prepare -> "prepare"
-        | `Commit -> "commit"
-        | `Abort -> "abort")
-  | Span_begin { span; parent; kind; name; track } ->
-      ev "span_begin";
-      kv_i b "span" span;
-      kv_i b "parent" parent;
-      kv_s b "kind" kind;
-      kv_s b "name" name;
-      kv_s b "track" track
-  | Span_end { span; outcome } ->
-      ev "span_end";
-      kv_i b "span" span;
-      kv_s b "outcome" outcome
-  | Cache_hit { vif; flow; tier; cached; fresh } ->
-      ev "cache_hit";
-      kv_s b "vif" vif;
-      kv_pattern b "flow" flow;
-      kv_s b "tier" (match tier with `Exact -> "exact" | `Megaflow -> "megaflow");
-      kv_s b "cached" cached;
-      kv_s b "fresh" fresh
-  | Cache_miss { vif; flow } ->
-      ev "cache_miss";
-      kv_s b "vif" vif;
-      kv_pattern b "flow" flow
-  | Cache_invalidate { vif; reason; dropped; exact; megaflow } ->
-      ev "cache_invalidate";
-      kv_s b "vif" vif;
-      kv_s b "reason" reason;
-      kv_i b "dropped" dropped;
-      kv_i b "exact" exact;
-      kv_i b "megaflow" megaflow);
-  Buffer.add_char b '}'
-
-let to_jsonl now event =
-  let b = Buffer.create 160 in
-  encode_into b now event;
-  Buffer.contents b
 
 (* --- Flat JSON parsing (just enough for our own encoder's output) --- *)
 
@@ -426,174 +265,407 @@ let parse_flat line =
     pairs []
   end
 
+(* --- Compact binary primitives ---
+
+   Zigzag varints for ints, 8-byte little-endian IEEE bits for floats,
+   length-prefixed raw bytes for strings. *)
+
+let add_varint b n =
+  (* zigzag so negative ints (adversarial event payloads) survive *)
+  let u = (n lsl 1) lxor (n asr (Sys.int_size - 1)) in
+  let rec go u =
+    if u land lnot 0x7f = 0 then Buffer.add_char b (Char.chr u)
+    else begin
+      Buffer.add_char b (Char.chr (0x80 lor (u land 0x7f)));
+      go (u lsr 7)
+    end
+  in
+  go u
+
+let read_varint s pos =
+  let n = String.length s in
+  let rec go acc shift =
+    if !pos >= n || shift > Sys.int_size then None
+    else begin
+      let c = Char.code s.[!pos] in
+      incr pos;
+      let acc = acc lor ((c land 0x7f) lsl shift) in
+      if c land 0x80 = 0 then Some acc else go acc (shift + 7)
+    end
+  in
+  match go 0 0 with
+  | None -> None
+  | Some u -> Some ((u lsr 1) lxor (-(u land 1)))
+
+let add_string_c b s =
+  add_varint b (String.length s);
+  Buffer.add_string b s
+
+let read_string_c s pos =
+  match read_varint s pos with
+  | Some len when len >= 0 && !pos + len <= String.length s ->
+      let v = String.sub s !pos len in
+      pos := !pos + len;
+      Some v
+  | _ -> None
+
+let read_float_c s pos =
+  if !pos + 8 > String.length s then None
+  else begin
+    let f = Int64.float_of_bits (String.get_int64_le s !pos) in
+    pos := !pos + 8;
+    Some f
+  end
+
+let read_byte s pos =
+  if !pos >= String.length s then None
+  else begin
+    let c = Char.code s.[!pos] in
+    incr pos;
+    Some c
+  end
+
+(* Position of [v] in an enum's cases: its compact byte. *)
+let enum_index cases v =
+  let rec go i = function
+    | (_, x) :: rest -> if x = v then i else go (i + 1) rest
+    | [] -> invalid_arg "Obs.Trace: enum value missing from its cases"
+  in
+  go 0 cases
+
+(* --- The event schema ---
+
+   Each constructor is described once, as its wire name and its fields
+   in wire order; the JSONL and compact codecs below are both derived
+   from that description. *)
+
+type _ ty =
+  | Int : int ty
+  | Float : float ty
+  | Str : string ty
+  | Ip : Ipv4.t ty
+  | Tenant : Tenant.id ty
+  | Pattern : Fkey.Pattern.t ty
+  | Enum : (string * 'a) list -> 'a ty
+      (* JSONL carries the case name, compact its index as one byte. *)
+
+type _ fields =
+  | [] : unit fields
+  | ( :: ) : (string * 'a ty) * 'b fields -> ('a * 'b) fields
+
+type _ args = [] : unit args | ( :: ) : 'a * 'b args -> ('a * 'b) args
+
+type desc =
+  | Ev : {
+      name : string;
+      fields : 'a fields;
+      make : 'a args -> event;
+      args : event -> 'a args option;
+    }
+      -> desc
+
+let ev name fields make args = Ev { name; fields; make; args }
+let flag ~off ~on = Enum [ (off, false); (on, true) ]
+let tcam_fields : _ fields =
+  [ ("tenant", Tenant); ("entries", Int); ("used", Int); ("capacity", Int) ]
+
+(* A constructor's compact tag is its position here. *)
+let schema =
+  [|
+    ev "flow_promoted"
+      [ ("pattern", Pattern); ("tenant", Tenant); ("vm_ip", Ip);
+        ("server", Str); ("score", Float); ("tcam_entries", Int) ]
+      (fun [ pattern; tenant; vm_ip; server; score; tcam_entries ] ->
+        Flow_promoted { pattern; tenant; vm_ip; server; score; tcam_entries })
+      (function
+        | Flow_promoted { pattern; tenant; vm_ip; server; score; tcam_entries } ->
+            Some [ pattern; tenant; vm_ip; server; score; tcam_entries ]
+        | _ -> None);
+    ev "flow_demoted"
+      [ ("pattern", Pattern); ("tenant", Tenant); ("vm_ip", Ip);
+        ("server", Str); ("reason", Str) ]
+      (fun [ pattern; tenant; vm_ip; server; reason ] ->
+        Flow_demoted { pattern; tenant; vm_ip; server; reason })
+      (function
+        | Flow_demoted { pattern; tenant; vm_ip; server; reason } ->
+            Some [ pattern; tenant; vm_ip; server; reason ]
+        | _ -> None);
+    ev "tcam_install" tcam_fields
+      (fun [ tenant; entries; used; capacity ] ->
+        Tcam_install { tenant; entries; used; capacity })
+      (function
+        | Tcam_install { tenant; entries; used; capacity } ->
+            Some [ tenant; entries; used; capacity ]
+        | _ -> None);
+    ev "tcam_evict" tcam_fields
+      (fun [ tenant; entries; used; capacity ] ->
+        Tcam_evict { tenant; entries; used; capacity })
+      (function
+        | Tcam_evict { tenant; entries; used; capacity } ->
+            Some [ tenant; entries; used; capacity ]
+        | _ -> None);
+    ev "fps_split"
+      [ ("vm_ip", Ip); ("dir", Enum [ ("rx", Rx); ("tx", Tx) ]);
+        ("soft_bps", Float); ("hard_bps", Float); ("total_bps", Float);
+        ("overflow_bps", Float) ]
+      (fun [ vm_ip; direction; soft_bps; hard_bps; total_bps; overflow_bps ] ->
+        Fps_split { vm_ip; direction; soft_bps; hard_bps; total_bps; overflow_bps })
+      (function
+        | Fps_split { vm_ip; direction; soft_bps; hard_bps; total_bps; overflow_bps } ->
+            Some [ vm_ip; direction; soft_bps; hard_bps; total_bps; overflow_bps ]
+        | _ -> None);
+    ev "path_transition"
+      [ ("vm_ip", Ip); ("pattern", Pattern);
+        ("path", Enum [ ("software", Software); ("express", Express) ]) ]
+      (fun [ vm_ip; pattern; path ] -> Path_transition { vm_ip; pattern; path })
+      (function
+        | Path_transition { vm_ip; pattern; path } -> Some [ vm_ip; pattern; path ]
+        | _ -> None);
+    ev "rule_pushed"
+      [ ("server", Str); ("pattern", Pattern);
+        ("push", Enum [ ("offload", `Offload); ("demote", `Demote) ]); ("seq", Int) ]
+      (fun [ server; pattern; push; seq ] -> Rule_pushed { server; pattern; push; seq })
+      (function
+        | Rule_pushed { server; pattern; push; seq } ->
+            Some [ server; pattern; push; seq ]
+        | _ -> None);
+    ev "epoch_tick"
+      [ ("me", Str); ("epoch", Int); ("interval", Int) ]
+      (fun [ me; epoch; interval ] -> Epoch_tick { me; epoch; interval })
+      (function
+        | Epoch_tick { me; epoch; interval } -> Some [ me; epoch; interval ]
+        | _ -> None);
+    ev "ctrl_drop" [ ("channel", Str) ]
+      (fun [ channel ] -> Ctrl_drop { channel })
+      (function Ctrl_drop { channel } -> Some [ channel ] | _ -> None);
+    ev "ctrl_retry"
+      [ ("server", Str); ("seq", Int); ("attempt", Int); ("span", Int) ]
+      (fun [ server; seq; attempt; span ] -> Ctrl_retry { server; seq; attempt; span })
+      (function
+        | Ctrl_retry { server; seq; attempt; span } ->
+            Some [ server; seq; attempt; span ]
+        | _ -> None);
+    ev "peer_state"
+      [ ("server", Str); ("state", flag ~off:"dead" ~on:"alive") ]
+      (fun [ server; alive ] -> Peer_state { server; alive })
+      (function Peer_state { server; alive } -> Some [ server; alive ] | _ -> None);
+    ev "lane_state"
+      [ ("lane", Str); ("state", flag ~off:"down" ~on:"up") ]
+      (fun [ lane; up ] -> Lane_state { lane; up })
+      (function Lane_state { lane; up } -> Some [ lane; up ] | _ -> None);
+    ev "tcam_error"
+      [ ("tenant", Tenant); ("kind", Str); ("entries", Int) ]
+      (fun [ tenant; kind; entries ] -> Tcam_error { tenant; kind; entries })
+      (function
+        | Tcam_error { tenant; kind; entries } -> Some [ tenant; kind; entries ]
+        | _ -> None);
+    ev "flow_progress"
+      [ ("flow", Str); ("sent", Int); ("acked", Int) ]
+      (fun [ flow; sent; acked ] -> Flow_progress { flow; sent; acked })
+      (function
+        | Flow_progress { flow; sent; acked } -> Some [ flow; sent; acked ]
+        | _ -> None);
+    ev "migration"
+      [ ("vm_ip", Ip);
+        ("stage",
+          Enum [ ("prepare", `Prepare); ("commit", `Commit); ("abort", `Abort) ]) ]
+      (fun [ vm_ip; stage ] -> Migration_stage { vm_ip; stage })
+      (function
+        | Migration_stage { vm_ip; stage } -> Some [ vm_ip; stage ]
+        | _ -> None);
+    ev "span_begin"
+      [ ("span", Int); ("parent", Int); ("kind", Str); ("name", Str); ("track", Str) ]
+      (fun [ span; parent; kind; name; track ] ->
+        Span_begin { span; parent; kind; name; track })
+      (function
+        | Span_begin { span; parent; kind; name; track } ->
+            Some [ span; parent; kind; name; track ]
+        | _ -> None);
+    ev "span_end"
+      [ ("span", Int); ("outcome", Str) ]
+      (fun [ span; outcome ] -> Span_end { span; outcome })
+      (function Span_end { span; outcome } -> Some [ span; outcome ] | _ -> None);
+    ev "cache_hit"
+      [ ("vif", Str); ("flow", Pattern);
+        ("tier", Enum [ ("exact", `Exact); ("megaflow", `Megaflow) ]);
+        ("cached", Str); ("fresh", Str) ]
+      (fun [ vif; flow; tier; cached; fresh ] ->
+        Cache_hit { vif; flow; tier; cached; fresh })
+      (function
+        | Cache_hit { vif; flow; tier; cached; fresh } ->
+            Some [ vif; flow; tier; cached; fresh ]
+        | _ -> None);
+    ev "cache_miss"
+      [ ("vif", Str); ("flow", Pattern) ]
+      (fun [ vif; flow ] -> Cache_miss { vif; flow })
+      (function Cache_miss { vif; flow } -> Some [ vif; flow ] | _ -> None);
+    ev "cache_invalidate"
+      [ ("vif", Str); ("reason", Str); ("dropped", Int); ("exact", Int);
+        ("megaflow", Int) ]
+      (fun [ vif; reason; dropped; exact; megaflow ] ->
+        Cache_invalidate { vif; reason; dropped; exact; megaflow })
+      (function
+        | Cache_invalidate { vif; reason; dropped; exact; megaflow } ->
+            Some [ vif; reason; dropped; exact; megaflow ]
+        | _ -> None);
+  |]
+
+let wire_names =
+  let rec keys : type a. a fields -> string list = function
+    | [] -> []
+    | (k, _) :: rest -> k :: keys rest
+  in
+  Array.to_list (Array.map (function Ev d -> (d.name, keys d.fields)) schema)
+
+(* An event's schema entry, with its position there (the compact tag). *)
+type case = Case : int * string * 'a fields * 'a args -> case
+
+let case_of event =
+  let rec go i =
+    if i = Array.length schema then
+      invalid_arg "Obs.Trace: event constructor missing from the schema";
+    match schema.(i) with
+    | Ev d -> (
+        match d.args event with
+        | Some args -> Case (i, d.name, d.fields, args)
+        | None -> go (i + 1))
+  in
+  go 0
+
+let ( let* ) = Option.bind
+
+(* --- JSONL codec --- *)
+
+let json_value : type a. Buffer.t -> a ty -> a -> unit =
+ fun b ty v ->
+  match ty with
+  | Int -> Buffer.add_string b (string_of_int v)
+  | Float -> Buffer.add_string b (Printf.sprintf "%.17g" v) (* exact if finite *)
+  | Str -> quoted b add_escaped v
+  | Ip -> quoted b Buffer.add_string (Ipv4.to_string v)
+  | Tenant -> Buffer.add_string b (string_of_int (Tenant.to_int v))
+  | Pattern -> quoted b add_pattern v
+  | Enum cases ->
+      quoted b Buffer.add_string (fst (List.nth cases (enum_index cases v)))
+
+let rec json_fields : type a. Buffer.t -> a fields -> a args -> unit =
+ fun b fields args ->
+  match (fields, args) with
+  | [], [] -> ()
+  | (k, ty) :: fields, v :: args ->
+      key b k;
+      json_value b ty v;
+      json_fields b fields args
+
+let encode_into b now event =
+  match case_of event with
+  | Case (_, name, fields, args) ->
+      Buffer.add_string b "{\"t_ns\":";
+      Buffer.add_string b (string_of_int (Simtime.to_ns now));
+      Buffer.add_string b ",\"t\":";
+      Buffer.add_string b (Printf.sprintf "%.9f" (Simtime.to_sec now));
+      key b "ev";
+      quoted b Buffer.add_string name;
+      json_fields b fields args;
+      Buffer.add_char b '}'
+
+let to_jsonl now event =
+  let b = Buffer.create 160 in
+  encode_into b now event;
+  Buffer.contents b
+
+let of_json : type a. a ty -> json_value -> a option =
+ fun ty v ->
+  match (ty, v) with
+  | Int, I i -> Some i
+  | Float, F f -> Some f
+  | Float, I i -> Some (float_of_int i)
+  | Str, S s -> Some s
+  | Ip, S s -> ip_of_string_opt s
+  | Tenant, I n -> tenant_of_int_opt n
+  | Pattern, S s -> pattern_of_string s
+  | Enum cases, S s -> List.assoc_opt s cases
+  | _ -> None
+
+let rec of_json_fields :
+    type a. (string * json_value) list -> a fields -> a args option =
+ fun kvs fields ->
+  match fields with
+  | [] -> Some []
+  | (k, ty) :: rest ->
+      let* v = Option.bind (List.assoc_opt k kvs) (of_json ty) in
+      let* vs = of_json_fields kvs rest in
+      Some (v :: vs)
+
 let of_jsonl line =
-  let ( let* ) = Option.bind in
-  let* fields = parse_flat line in
-  let str k = match List.assoc_opt k fields with Some (S s) -> Some s | _ -> None in
-  let int k = match List.assoc_opt k fields with Some (I i) -> Some i | _ -> None in
-  let flt k =
-    match List.assoc_opt k fields with
-    | Some (F f) -> Some f
-    | Some (I i) -> Some (float_of_int i)
-    | _ -> None
-  in
-  let pat k = Option.bind (str k) pattern_of_string in
-  let ip k = Option.bind (str k) ip_of_string_opt in
-  let tenant k =
-    Option.bind (int k) (fun n -> if n >= 0 then Some (Tenant.of_int n) else None)
-  in
-  let* t_ns = int "t_ns" in
-  let now = Simtime.of_ns t_ns in
-  let* ev = str "ev" in
-  let* event =
-    match ev with
-    | "flow_promoted" ->
-        let* pattern = pat "pattern" in
-        let* tenant = tenant "tenant" in
-        let* vm_ip = ip "vm_ip" in
-        let* server = str "server" in
-        let* score = flt "score" in
-        let* tcam_entries = int "tcam_entries" in
-        Some (Flow_promoted { pattern; tenant; vm_ip; server; score; tcam_entries })
-    | "flow_demoted" ->
-        let* pattern = pat "pattern" in
-        let* tenant = tenant "tenant" in
-        let* vm_ip = ip "vm_ip" in
-        let* server = str "server" in
-        let* reason = str "reason" in
-        Some (Flow_demoted { pattern; tenant; vm_ip; server; reason })
-    | "tcam_install" | "tcam_evict" ->
-        let* tenant = tenant "tenant" in
-        let* entries = int "entries" in
-        let* used = int "used" in
-        let* capacity = int "capacity" in
-        Some
-          (if ev = "tcam_install" then
-             Tcam_install { tenant; entries; used; capacity }
-           else Tcam_evict { tenant; entries; used; capacity })
-    | "fps_split" ->
-        let* vm_ip = ip "vm_ip" in
-        let* dir = str "dir" in
-        let* direction =
-          match dir with "tx" -> Some Tx | "rx" -> Some Rx | _ -> None
-        in
-        let* soft_bps = flt "soft_bps" in
-        let* hard_bps = flt "hard_bps" in
-        let* total_bps = flt "total_bps" in
-        let* overflow_bps = flt "overflow_bps" in
-        Some
-          (Fps_split
-             { vm_ip; direction; soft_bps; hard_bps; total_bps; overflow_bps })
-    | "path_transition" ->
-        let* vm_ip = ip "vm_ip" in
-        let* pattern = pat "pattern" in
-        let* path =
-          match str "path" with
-          | Some "software" -> Some Software
-          | Some "express" -> Some Express
-          | _ -> None
-        in
-        Some (Path_transition { vm_ip; pattern; path })
-    | "rule_pushed" ->
-        let* server = str "server" in
-        let* pattern = pat "pattern" in
-        let* push =
-          match str "push" with
-          | Some "offload" -> Some `Offload
-          | Some "demote" -> Some `Demote
-          | _ -> None
-        in
-        let* seq = int "seq" in
-        Some (Rule_pushed { server; pattern; push; seq })
-    | "epoch_tick" ->
-        let* me = str "me" in
-        let* epoch = int "epoch" in
-        let* interval = int "interval" in
-        Some (Epoch_tick { me; epoch; interval })
-    | "ctrl_drop" ->
-        let* channel = str "channel" in
-        Some (Ctrl_drop { channel })
-    | "ctrl_retry" ->
-        let* server = str "server" in
-        let* seq = int "seq" in
-        let* attempt = int "attempt" in
-        let* span = int "span" in
-        Some (Ctrl_retry { server; seq; attempt; span })
-    | "peer_state" ->
-        let* server = str "server" in
-        let* alive =
-          match str "state" with
-          | Some "alive" -> Some true
-          | Some "dead" -> Some false
-          | _ -> None
-        in
-        Some (Peer_state { server; alive })
-    | "lane_state" ->
-        let* lane = str "lane" in
-        let* up =
-          match str "state" with
-          | Some "up" -> Some true
-          | Some "down" -> Some false
-          | _ -> None
-        in
-        Some (Lane_state { lane; up })
-    | "tcam_error" ->
-        let* tenant = tenant "tenant" in
-        let* kind = str "kind" in
-        let* entries = int "entries" in
-        Some (Tcam_error { tenant; kind; entries })
-    | "flow_progress" ->
-        let* flow = str "flow" in
-        let* sent = int "sent" in
-        let* acked = int "acked" in
-        Some (Flow_progress { flow; sent; acked })
-    | "migration" ->
-        let* vm_ip = ip "vm_ip" in
-        let* stage =
-          match str "stage" with
-          | Some "prepare" -> Some `Prepare
-          | Some "commit" -> Some `Commit
-          | Some "abort" -> Some `Abort
-          | _ -> None
-        in
-        Some (Migration_stage { vm_ip; stage })
-    | "span_begin" ->
-        let* span = int "span" in
-        let* parent = int "parent" in
-        let* kind = str "kind" in
-        let* name = str "name" in
-        let* track = str "track" in
-        Some (Span_begin { span; parent; kind; name; track })
-    | "span_end" ->
-        let* span = int "span" in
-        let* outcome = str "outcome" in
-        Some (Span_end { span; outcome })
-    | "cache_hit" ->
-        let* vif = str "vif" in
-        let* flow = pat "flow" in
-        let* tier =
-          match str "tier" with
-          | Some "exact" -> Some `Exact
-          | Some "megaflow" -> Some `Megaflow
-          | _ -> None
-        in
-        let* cached = str "cached" in
-        let* fresh = str "fresh" in
-        Some (Cache_hit { vif; flow; tier; cached; fresh })
-    | "cache_miss" ->
-        let* vif = str "vif" in
-        let* flow = pat "flow" in
-        Some (Cache_miss { vif; flow })
-    | "cache_invalidate" ->
-        let* vif = str "vif" in
-        let* reason = str "reason" in
-        let* dropped = int "dropped" in
-        let* exact = int "exact" in
-        let* megaflow = int "megaflow" in
-        Some (Cache_invalidate { vif; reason; dropped; exact; megaflow })
-    | _ -> None
-  in
-  Some (now, event)
+  let* kvs = parse_flat line in
+  let* t_ns = match List.assoc_opt "t_ns" kvs with Some (I i) -> Some i | _ -> None in
+  let* name = match List.assoc_opt "ev" kvs with Some (S s) -> Some s | _ -> None in
+  match Array.find_opt (function Ev d -> d.name = name) schema with
+  | None -> None
+  | Some (Ev d) ->
+      let* args = of_json_fields kvs d.fields in
+      Some (Simtime.of_ns t_ns, d.make args)
+
+(* --- Compact codec --- *)
+
+let compact_value : type a. Buffer.t -> a ty -> a -> unit =
+ fun b ty v ->
+  match ty with
+  | Int -> add_varint b v
+  | Float -> Buffer.add_int64_le b (Int64.bits_of_float v)
+  | Str -> add_string_c b v
+  | Ip -> add_string_c b (Ipv4.to_string v)
+  | Tenant -> add_varint b (Tenant.to_int v)
+  | Pattern -> add_string_c b (pattern_to_string v)
+  | Enum cases -> Buffer.add_char b (Char.chr (enum_index cases v))
+
+let rec compact_fields : type a. Buffer.t -> a fields -> a args -> unit =
+ fun b fields args ->
+  match (fields, args) with
+  | [], [] -> ()
+  | (_, ty) :: fields, v :: args ->
+      compact_value b ty v;
+      compact_fields b fields args
+
+let encode_compact b now event =
+  match case_of event with
+  | Case (tag, _, fields, args) ->
+      add_varint b (Simtime.to_ns now);
+      Buffer.add_char b (Char.chr tag);
+      compact_fields b fields args
+
+let read_compact : type a. string -> int ref -> a ty -> a option =
+ fun s pos ty ->
+  match ty with
+  | Int -> read_varint s pos
+  | Float -> read_float_c s pos
+  | Str -> read_string_c s pos
+  | Ip -> Option.bind (read_string_c s pos) ip_of_string_opt
+  | Tenant -> Option.bind (read_varint s pos) tenant_of_int_opt
+  | Pattern -> Option.bind (read_string_c s pos) pattern_of_string
+  | Enum cases ->
+      Option.map snd (Option.bind (read_byte s pos) (List.nth_opt cases))
+
+let rec read_compact_fields :
+    type a. string -> int ref -> a fields -> a args option =
+ fun s pos fields ->
+  match fields with
+  | [] -> Some []
+  | (_, ty) :: rest ->
+      let* v = read_compact s pos ty in
+      let* vs = read_compact_fields s pos rest in
+      Some (v :: vs)
+
+let decode_compact s pos =
+  let* t_ns = read_varint s pos in
+  let* tag = read_byte s pos in
+  if tag >= Array.length schema then None
+  else
+    match schema.(tag) with
+    | Ev d ->
+        let* args = read_compact_fields s pos d.fields in
+        Some (Simtime.of_ns t_ns, d.make args)
 
 (* --- Sink --- *)
 
@@ -631,7 +703,14 @@ let emit ?now event =
       let now = match now with Some t -> t | None -> !clock () in
       emit_to s now event
 
-let use_jsonl oc = sink := Jsonl oc
+(* The JSONL channel stays reachable for [disable]'s flush even after
+   [use_tee] wraps it in a callback chain. *)
+let jsonl_out = ref None
+
+let use_jsonl oc =
+  jsonl_out := Some oc;
+  sink := Jsonl oc
+
 let use_callback f = sink := Callback f
 
 let use_tee f =
@@ -646,6 +725,7 @@ let disables = ref 0
 let disable_count () = !disables
 
 let disable () =
-  (match !sink with Jsonl oc -> flush oc | Off | Callback _ -> ());
+  Option.iter flush !jsonl_out;
+  jsonl_out := None;
   incr disables;
   sink := Off

@@ -219,23 +219,58 @@ val now : unit -> Dcsim.Simtime.t
     before any {!set_clock}). Always-on consumers that need a stamp but
     have no engine handle (the {!Obs.Slo} goodput feed) read this. *)
 
-(** {1 Codec} *)
+(** {1 Codec}
+
+    Each constructor is described once, in [trace.ml]'s schema, as its
+    wire name plus an ordered list of typed fields (int, float,
+    string, IP, tenant, pattern, enum). Both wire formats are derived
+    from that description: adding an event is one schema entry. *)
+
+val wire_names : (string * string list) list
+(** Every event's wire name (the JSONL ["ev"] value) and its field
+    keys in wire order, in schema order. [docs/METRICS.md] must
+    mention all of them (the [@metrics-doc] check). *)
 
 val to_jsonl : Dcsim.Simtime.t -> event -> string
 (** One-line JSON encoding, without the trailing newline. The sim time
     is carried as an exact nanosecond integer under ["t_ns"] plus a
-    human-friendly ["t"] in seconds; the event constructor is under
-    ["ev"]. *)
+    human-friendly ["t"] in seconds; the event's wire name is under
+    ["ev"], then its fields in schema order. Floats use [%.17g], so
+    every finite float round-trips exactly. *)
 
 val encode_into : Buffer.t -> Dcsim.Simtime.t -> event -> unit
 (** Append the {!to_jsonl} encoding of one event (no trailing newline)
     to [b]. The JSONL sink and {!Obs.Flight} dumps reuse one buffer
-    across events through this, so encoding allocates only the payload
-    strings, never a fresh buffer per event. *)
+    across events through this. *)
 
 val of_jsonl : string -> (Dcsim.Simtime.t * event) option
-(** Inverse of {!to_jsonl}; [None] on malformed input. Round-trips
-    exactly, including float payloads. *)
+(** Inverse of {!to_jsonl}; [None] on malformed input, an unknown
+    ["ev"], or a missing or mistyped field. *)
+
+val encode_compact : Buffer.t -> Dcsim.Simtime.t -> event -> unit
+(** Append one stamped event in the compact binary form: a zigzag
+    varint nanosecond stamp, a tag byte (the constructor's position in
+    the schema), then each field — zigzag varints for ints and
+    tenants, 8-byte little-endian IEEE bits for floats (exact, NaN
+    included), length-prefixed bytes for strings, IPs and patterns,
+    and one index byte for enums. *)
+
+val decode_compact : string -> int ref -> (Dcsim.Simtime.t * event) option
+(** Decode one {!encode_compact} entry at the position ref's offset,
+    advancing it past the entry; [None] on malformed input (the
+    position is then unspecified). *)
+
+val add_varint : Buffer.t -> int -> unit
+val read_varint : string -> int ref -> int option
+(** The compact form's zigzag varint and its inverse (reading at and
+    advancing the position ref), for framing such as the entry count of
+    {!Obs.Flight.to_compact}. *)
+
+val add_escaped : Buffer.t -> string -> unit
+(** Append a string as the body of a JSON string literal (no
+    surrounding quotes): double quotes and backslashes are
+    backslash-escaped and control characters become [\u00XX], all of
+    which {!parse_flat} decodes back exactly. *)
 
 val pattern_to_string : Netcore.Fkey.Pattern.t -> string
 (** Compact codec for flow patterns:

@@ -9,6 +9,7 @@ module Fkey = Netcore.Fkey
 module Ipv4 = Netcore.Ipv4
 module Trace = Obs.Trace
 module Metrics = Obs.Metrics
+module Flight = Obs.Flight
 
 let checkb = Alcotest.check Alcotest.bool
 let checki = Alcotest.check Alcotest.int
@@ -113,6 +114,94 @@ let sample_events =
     Trace.Span_end { span = 10; outcome = "failed" };
   ]
 
+(* Random instances of every constructor for the codec properties.
+   Floats come from [gen_float]: the compact codec carries any bit
+   pattern, JSONL's %.17g only finite values. *)
+let gen_event gen_float =
+  let open QCheck2.Gen in
+  let gen_str = small_string ~gen:printable in
+  let gen_ip =
+    map2
+      (fun a b -> Ipv4.of_string (Printf.sprintf "10.%d.%d.%d" (a mod 250) (b mod 250) ((a + b) mod 250)))
+      small_nat small_nat
+  in
+  let gen_tenant = map (fun n -> Netcore.Tenant.of_int (1 + (n mod 1000))) small_nat in
+  let gen_proto =
+    oneof
+      [
+        return Fkey.Tcp;
+        return Fkey.Udp;
+        return Fkey.Icmp;
+        map (fun n -> Fkey.Other (n mod 200)) small_nat;
+      ]
+  in
+  let gen_pattern =
+    let* src_ip = option gen_ip in
+    let* dst_ip = option gen_ip in
+    let* src_port = option (int_range 0 65535) in
+    let* dst_port = option (int_range 0 65535) in
+    let* proto = option gen_proto in
+    let* tenant = option gen_tenant in
+    return { Fkey.Pattern.src_ip; dst_ip; src_port; dst_port; proto; tenant }
+  in
+oneof
+    [
+      (let* pattern = gen_pattern and* tenant = gen_tenant and* vm_ip = gen_ip
+       and* server = gen_str and* score = gen_float and* tcam_entries = int in
+       return (Trace.Flow_promoted { pattern; tenant; vm_ip; server; score; tcam_entries }));
+      (let* pattern = gen_pattern and* tenant = gen_tenant and* vm_ip = gen_ip
+       and* server = gen_str and* reason = gen_str in
+       return (Trace.Flow_demoted { pattern; tenant; vm_ip; server; reason }));
+      (let* tenant = gen_tenant and* entries = int and* used = int and* capacity = int in
+       return (Trace.Tcam_install { tenant; entries; used; capacity }));
+      (let* tenant = gen_tenant and* entries = int and* used = int and* capacity = int in
+       return (Trace.Tcam_evict { tenant; entries; used; capacity }));
+      (let* vm_ip = gen_ip
+       and* direction = oneof [ return Trace.Tx; return Trace.Rx ]
+       and* soft_bps = gen_float and* hard_bps = gen_float
+       and* total_bps = gen_float and* overflow_bps = gen_float in
+       return
+         (Trace.Fps_split
+            { vm_ip; direction; soft_bps; hard_bps; total_bps; overflow_bps }));
+      (let* vm_ip = gen_ip and* pattern = gen_pattern
+       and* path = oneof [ return Trace.Software; return Trace.Express ] in
+       return (Trace.Path_transition { vm_ip; pattern; path }));
+      (let* server = gen_str and* pattern = gen_pattern
+       and* push = oneof [ return `Offload; return `Demote ] and* seq = int in
+       return (Trace.Rule_pushed { server; pattern; push; seq }));
+      (let* me = gen_str and* epoch = int and* interval = int in
+       return (Trace.Epoch_tick { me; epoch; interval }));
+      (let* channel = gen_str in
+       return (Trace.Ctrl_drop { channel }));
+      (let* server = gen_str and* seq = int and* attempt = int and* span = int in
+       return (Trace.Ctrl_retry { server; seq; attempt; span }));
+      (let* server = gen_str and* alive = bool in
+       return (Trace.Peer_state { server; alive }));
+      (let* lane = gen_str and* up = bool in
+       return (Trace.Lane_state { lane; up }));
+      (let* tenant = gen_tenant and* kind = gen_str and* entries = int in
+       return (Trace.Tcam_error { tenant; kind; entries }));
+      (let* flow = gen_str and* sent = int and* acked = int in
+       return (Trace.Flow_progress { flow; sent; acked }));
+      (let* vm_ip = gen_ip
+       and* stage = oneof [ return `Prepare; return `Commit; return `Abort ] in
+       return (Trace.Migration_stage { vm_ip; stage }));
+      (let* span = int and* parent = int and* kind = gen_str
+       and* name = gen_str and* track = gen_str in
+       return (Trace.Span_begin { span; parent; kind; name; track }));
+      (let* span = int and* outcome = gen_str in
+       return (Trace.Span_end { span; outcome }));
+      (let* vif = gen_str and* flow = gen_pattern
+       and* tier = oneof [ return `Exact; return `Megaflow ]
+       and* cached = gen_str and* fresh = gen_str in
+       return (Trace.Cache_hit { vif; flow; tier; cached; fresh }));
+      (let* vif = gen_str and* flow = gen_pattern in
+       return (Trace.Cache_miss { vif; flow }));
+      (let* vif = gen_str and* reason = gen_str and* dropped = int
+       and* exact = int and* megaflow = int in
+       return (Trace.Cache_invalidate { vif; reason; dropped; exact; megaflow }));
+    ]
+
 let test_jsonl_round_trip () =
   List.iteri
     (fun i event ->
@@ -126,6 +215,151 @@ let test_jsonl_round_trip () =
              identically, and the encoding covers every payload field. *)
           checks "event round-trips" line (Trace.to_jsonl now' event'))
     sample_events
+
+(* Wire-format golden: one instance of every constructor, pinned to its
+   exact JSONL line and to the hex of a one-entry [Flight.to_compact]
+   snapshot (count varint, stamp varint, tag byte, fields). Unlike the
+   round-trip tests, a renamed key, a reordered field, a changed tag or
+   enum byte fails here. Stamps are [1 + i * 123_456_789] ns. *)
+let odd_pattern =
+  {
+    Fkey.Pattern.any with
+    Fkey.Pattern.src_ip = Some vm1;
+    src_port = Some 11211;
+    proto = Some (Fkey.Other 47);
+    tenant = Some tenant;
+  }
+
+let golden_wire =
+  [
+    ( Trace.Flow_promoted
+        { pattern = odd_pattern; tenant; vm_ip = vm1; server = "s\"q\\b\001";
+          score = 0.1 +. 0.2; tcam_entries = -3 },
+      {|{"t_ns":1,"t":0.000000001,"ev":"flow_promoted","pattern":"10.7.0.1/*/11211/*/p47/7","tenant":7,"vm_ip":"10.7.0.1","server":"s\"q\\b\u0001","score":0.30000000000000004,"tcam_entries":-3}|},
+      "0202003031302e372e302e312f2a2f31313231312f2a2f7034372f370e1031302e372e302e310c7322715c6201343333333333d33f05" );
+    ( Trace.Flow_demoted
+        { pattern = full_pattern; tenant; vm_ip = vm2; server = "server0";
+          reason = "deselected" },
+      {|{"t_ns":123456790,"t":0.123456790,"ev":"flow_demoted","pattern":"10.7.0.1/10.7.0.2/50000/9000/tcp/7","tenant":7,"vm_ip":"10.7.0.2","server":"server0","reason":"deselected"}|},
+      "02acb4de75014431302e372e302e312f31302e372e302e322f35303030302f393030302f7463702f370e1031302e372e302e320e7365727665723014646573656c6563746564" );
+    ( Trace.Tcam_install { tenant; entries = 4; used = 12; capacity = 2048 },
+      {|{"t_ns":246913579,"t":0.246913579,"ev":"tcam_install","tenant":7,"entries":4,"used":12,"capacity":2048}|},
+      "02d6e8bceb01020e08188020" );
+    ( Trace.Tcam_evict { tenant; entries = 4; used = 8; capacity = 2048 },
+      {|{"t_ns":370370368,"t":0.370370368,"ev":"tcam_evict","tenant":7,"entries":4,"used":8,"capacity":2048}|},
+      "02809d9be102030e08108020" );
+    ( Trace.Fps_split
+        { vm_ip = vm2; direction = Trace.Tx; soft_bps = 7.5e8; hard_bps = 2.5e8;
+          total_bps = 1e9 +. (0.1 +. 0.2); overflow_bps = 5.0e7 },
+      {|{"t_ns":493827157,"t":0.493827157,"ev":"fps_split","vm_ip":"10.7.0.2","dir":"tx","soft_bps":750000000,"hard_bps":250000000,"total_bps":1000000000.3,"overflow_bps":50000000}|},
+      "02aad1f9d603041031302e372e302e3201000000c00b5ac6410000000065cdad416666260065cdcd410000000084d78741" );
+    ( Trace.Path_transition
+        { vm_ip = vm1; pattern = Fkey.Pattern.any; path = Trace.Express },
+      {|{"t_ns":617283946,"t":0.617283946,"ev":"path_transition","vm_ip":"10.7.0.1","pattern":"*/*/*/*/*/*","path":"express"}|},
+      "02d485d8cc04051031302e372e302e31162a2f2a2f2a2f2a2f2a2f2a01" );
+    ( Trace.Rule_pushed
+        { server = "server1"; pattern = odd_pattern; push = `Demote; seq = 13 },
+      {|{"t_ns":740740735,"t":0.740740735,"ev":"rule_pushed","server":"server1","pattern":"10.7.0.1/*/11211/*/p47/7","push":"demote","seq":13}|},
+      "02feb9b6c205060e736572766572313031302e372e302e312f2a2f31313231312f2a2f7034372f37011a" );
+    ( Trace.Epoch_tick { me = "server0.me"; epoch = 17; interval = 2 },
+      {|{"t_ns":864197524,"t":0.864197524,"ev":"epoch_tick","me":"server0.me","epoch":17,"interval":2}|},
+      "02a8ee94b8060714736572766572302e6d652204" );
+    ( Trace.Ctrl_drop { channel = "server0.directive" },
+      {|{"t_ns":987654313,"t":0.987654313,"ev":"ctrl_drop","channel":"server0.directive"}|},
+      "02d2a2f3ad070822736572766572302e646972656374697665" );
+    ( Trace.Ctrl_retry { server = "server0"; seq = 42; attempt = 3; span = -1 },
+      {|{"t_ns":1111111102,"t":1.111111102,"ev":"ctrl_retry","server":"server0","seq":42,"attempt":3,"span":-1}|},
+      "02fcd6d1a308090e73657276657230540601" );
+    ( Trace.Peer_state { server = "server1"; alive = true },
+      {|{"t_ns":1234567891,"t":1.234567891,"ev":"peer_state","server":"server1","state":"alive"}|},
+      "02a68bb099090a0e7365727665723101" );
+    ( Trace.Lane_state { lane = "tor0->tor1"; up = false },
+      {|{"t_ns":1358024680,"t":1.358024680,"ev":"lane_state","lane":"tor0->tor1","state":"down"}|},
+      "02d0bf8e8f0a0b14746f72302d3e746f723100" );
+    ( Trace.Tcam_error { tenant; kind = "soft_error"; entries = 5 },
+      {|{"t_ns":1481481469,"t":1.481481469,"ev":"tcam_error","tenant":7,"kind":"soft_error","entries":5}|},
+      "02faf3ec840b0c0e14736f66745f6572726f720a" );
+    ( Trace.Flow_progress { flow = "stream7"; sent = 1_000_000; acked = 999_424 },
+      {|{"t_ns":1604938258,"t":1.604938258,"ev":"flow_progress","flow":"stream7","sent":1000000,"acked":999424}|},
+      "02a4a8cbfa0b0d0e73747265616d3780897a80807a" );
+    ( Trace.Migration_stage { vm_ip = vm2; stage = `Abort },
+      {|{"t_ns":1728395047,"t":1.728395047,"ev":"migration","vm_ip":"10.7.0.2","stage":"abort"}|},
+      "02cedca9f00c0e1031302e372e302e3202" );
+    ( Trace.Span_begin
+        { span = 9; parent = 0; kind = "directive"; name = "offload seq=42";
+          track = "server0" },
+      {|{"t_ns":1851851836,"t":1.851851836,"ev":"span_begin","span":9,"parent":0,"kind":"directive","name":"offload seq=42","track":"server0"}|},
+      "02f89088e60d0f1200126469726563746976651c6f66666c6f6164207365713d34320e73657276657230" );
+    ( Trace.Span_end { span = 9; outcome = "acked" },
+      {|{"t_ns":1975308625,"t":1.975308625,"ev":"span_end","span":9,"outcome":"acked"}|},
+      "02a2c5e6db0e10120a61636b6564" );
+    ( Trace.Cache_hit
+        { vif = "vif3"; flow = full_pattern; tier = `Megaflow; cached = "allow";
+          fresh = "allow" },
+      {|{"t_ns":2098765414,"t":2.098765414,"ev":"cache_hit","vif":"vif3","flow":"10.7.0.1/10.7.0.2/50000/9000/tcp/7","tier":"megaflow","cached":"allow","fresh":"allow"}|},
+      "02ccf9c4d10f1108766966334431302e372e302e312f31302e372e302e322f35303030302f393030302f7463702f37010a616c6c6f770a616c6c6f77" );
+    ( Trace.Cache_miss { vif = "vif3"; flow = full_pattern },
+      {|{"t_ns":2222222203,"t":2.222222203,"ev":"cache_miss","vif":"vif3","flow":"10.7.0.1/10.7.0.2/50000/9000/tcp/7"}|},
+      "02f6ada3c7101208766966334431302e372e302e312f31302e372e302e322f35303030302f393030302f7463702f37" );
+    ( Trace.Cache_invalidate
+        { vif = "vif3"; reason = "policy_change"; dropped = 6; exact = 2;
+          megaflow = 1 },
+      {|{"t_ns":2345678992,"t":2.345678992,"ev":"cache_invalidate","vif":"vif3","reason":"policy_change","dropped":6,"exact":2,"megaflow":1}|},
+      "02a0e281bd111308766966331a706f6c6963795f6368616e67650c0402" );
+  ]
+
+let hex s =
+  String.concat ""
+    (List.map (fun c -> Printf.sprintf "%02x" (Char.code c))
+       (List.of_seq (String.to_seq s)))
+
+let test_golden_wire_format () =
+  checki "every constructor pinned" 20 (List.length golden_wire);
+  List.iteri
+    (fun i (ev, jsonl, compact) ->
+      let now = Simtime.of_ns (1 + (i * 123_456_789)) in
+      checks (Printf.sprintf "jsonl %d" i) jsonl (Trace.to_jsonl now ev);
+      checkb (Printf.sprintf "jsonl %d decodes" i) true
+        (Trace.of_jsonl jsonl = Some (now, ev));
+      let ring = Flight.create ~capacity:1 () in
+      Flight.record ring now ev;
+      let bytes = Flight.to_compact ring in
+      checks (Printf.sprintf "compact %d" i) compact (hex bytes);
+      checkb (Printf.sprintf "compact %d decodes" i) true
+        (Flight.of_compact bytes = Some [ (now, ev) ]))
+    golden_wire
+
+(* Whole-catalogue property: [of_jsonl] inverts [to_jsonl] exactly. *)
+let prop_jsonl_round_trip =
+  let gen_float =
+    QCheck2.Gen.map (fun f -> if Float.is_finite f then f else 0.5) QCheck2.Gen.float
+  in
+  QCheck2.Test.make ~name:"jsonl codec round-trips" ~count:500
+    QCheck2.Gen.(pair (gen_event gen_float) (int_range 0 1_000_000_000))
+    (fun (ev, t_ns) ->
+      let now = Simtime.of_ns t_ns in
+      Trace.of_jsonl (Trace.to_jsonl now ev) = Some (now, ev))
+
+(* [disable] must flush the JSONL channel even when other consumers
+   were teed in front of it (the sink is then a callback chain). *)
+let test_disable_flushes_teed_jsonl () =
+  let path = Filename.temp_file "tee" ".jsonl" in
+  let oc = open_out path in
+  Fun.protect
+    ~finally:(fun () ->
+      close_out_noerr oc;
+      Sys.remove path)
+    (fun () ->
+      let now = Simtime.of_ns 5 in
+      let ev = Trace.Epoch_tick { me = "tee.me"; epoch = 1; interval = 0 } in
+      Trace.use_jsonl oc;
+      Trace.use_tee (fun _ _ -> ());
+      Trace.emit ~now ev;
+      Trace.disable ();
+      let ic = open_in path in
+      let line = try input_line ic with End_of_file -> "" in
+      close_in ic;
+      checks "line reached the file before close" (Trace.to_jsonl now ev) line)
 
 let test_jsonl_rejects_garbage () =
   checkb "empty" true (Trace.of_jsonl "" = None);
@@ -659,6 +893,29 @@ let test_export_nesting_and_validation () =
   checkb "validator rejects unclosed B" true
     (match Obs.Export.validate broken with Error _ -> true | Ok _ -> false)
 
+(* Exported strings go through Trace's escaper, so quotes, backslashes
+   and control characters survive a write/re-parse round trip. *)
+let test_export_escapes_round_trip () =
+  let name = "a\n\"b\\\tc\001" in
+  let path = Filename.temp_file "export" ".json" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      let oc = open_out path in
+      Obs.Export.write oc
+        [ { Obs.Export.name; cat = "event"; ph = "i"; ts_us = 1.0; pid = 1;
+            tid = 0; scope = Some "t"; args = [] } ];
+      close_out oc;
+      let ic = open_in path in
+      ignore (input_line ic);
+      let line = input_line ic in
+      close_in ic;
+      match Trace.parse_flat line with
+      | Some fields ->
+          checkb "name round-trips" true
+            (List.assoc_opt "name" fields = Some (Trace.S name))
+      | None -> Alcotest.failf "exported line does not parse: %s" line)
+
 let test_export_of_live_run_round_trips () =
   Trace.disable ();
   Obs.Span.reset ();
@@ -756,8 +1013,6 @@ let test_registry_kinds_and_diff () =
 
 (* --- Flight recorder --- *)
 
-module Flight = Obs.Flight
-
 (* Distinct, recognisable events for ring-order assertions. *)
 let numbered_event i = Trace.Epoch_tick { me = "ring.me"; epoch = i; interval = 0 }
 
@@ -828,96 +1083,13 @@ let test_flight_compact_round_trip () =
 
 (* ...and a property over randomised payloads: encode . decode = id
    for every constructor with arbitrary ints (full zigzag-varint
-   range), strings, IPs, patterns and finite floats. *)
+   range), strings, IPs, patterns and floats (NaN aside: it is never
+   equal to itself). *)
 let prop_flight_compact_round_trip =
-  let open QCheck2.Gen in
-  let gen_str = small_string ~gen:printable in
-  let gen_ip =
-    map2
-      (fun a b -> Ipv4.of_string (Printf.sprintf "10.%d.%d.%d" (a mod 250) (b mod 250) ((a + b) mod 250)))
-      small_nat small_nat
-  in
-  let gen_tenant = map (fun n -> Netcore.Tenant.of_int (1 + (n mod 1000))) small_nat in
   let gen_float =
-    map (fun f -> if Float.is_nan f then 0.5 else f) float
+    QCheck2.Gen.map (fun f -> if Float.is_nan f then 0.5 else f) QCheck2.Gen.float
   in
-  let gen_proto =
-    oneof
-      [
-        return Fkey.Tcp;
-        return Fkey.Udp;
-        return Fkey.Icmp;
-        map (fun n -> Fkey.Other (n mod 200)) small_nat;
-      ]
-  in
-  let gen_pattern =
-    let* src_ip = option gen_ip in
-    let* dst_ip = option gen_ip in
-    let* src_port = option (int_range 0 65535) in
-    let* dst_port = option (int_range 0 65535) in
-    let* proto = option gen_proto in
-    let* tenant = option gen_tenant in
-    return { Fkey.Pattern.src_ip; dst_ip; src_port; dst_port; proto; tenant }
-  in
-  let gen_event =
-    oneof
-      [
-        (let* pattern = gen_pattern and* tenant = gen_tenant and* vm_ip = gen_ip
-         and* server = gen_str and* score = gen_float and* tcam_entries = int in
-         return (Trace.Flow_promoted { pattern; tenant; vm_ip; server; score; tcam_entries }));
-        (let* pattern = gen_pattern and* tenant = gen_tenant and* vm_ip = gen_ip
-         and* server = gen_str and* reason = gen_str in
-         return (Trace.Flow_demoted { pattern; tenant; vm_ip; server; reason }));
-        (let* tenant = gen_tenant and* entries = int and* used = int and* capacity = int in
-         return (Trace.Tcam_install { tenant; entries; used; capacity }));
-        (let* tenant = gen_tenant and* entries = int and* used = int and* capacity = int in
-         return (Trace.Tcam_evict { tenant; entries; used; capacity }));
-        (let* vm_ip = gen_ip
-         and* direction = oneof [ return Trace.Tx; return Trace.Rx ]
-         and* soft_bps = gen_float and* hard_bps = gen_float
-         and* total_bps = gen_float and* overflow_bps = gen_float in
-         return
-           (Trace.Fps_split
-              { vm_ip; direction; soft_bps; hard_bps; total_bps; overflow_bps }));
-        (let* vm_ip = gen_ip and* pattern = gen_pattern
-         and* path = oneof [ return Trace.Software; return Trace.Express ] in
-         return (Trace.Path_transition { vm_ip; pattern; path }));
-        (let* server = gen_str and* pattern = gen_pattern
-         and* push = oneof [ return `Offload; return `Demote ] and* seq = int in
-         return (Trace.Rule_pushed { server; pattern; push; seq }));
-        (let* me = gen_str and* epoch = int and* interval = int in
-         return (Trace.Epoch_tick { me; epoch; interval }));
-        (let* channel = gen_str in
-         return (Trace.Ctrl_drop { channel }));
-        (let* server = gen_str and* seq = int and* attempt = int and* span = int in
-         return (Trace.Ctrl_retry { server; seq; attempt; span }));
-        (let* server = gen_str and* alive = bool in
-         return (Trace.Peer_state { server; alive }));
-        (let* lane = gen_str and* up = bool in
-         return (Trace.Lane_state { lane; up }));
-        (let* tenant = gen_tenant and* kind = gen_str and* entries = int in
-         return (Trace.Tcam_error { tenant; kind; entries }));
-        (let* flow = gen_str and* sent = int and* acked = int in
-         return (Trace.Flow_progress { flow; sent; acked }));
-        (let* vm_ip = gen_ip
-         and* stage = oneof [ return `Prepare; return `Commit; return `Abort ] in
-         return (Trace.Migration_stage { vm_ip; stage }));
-        (let* span = int and* parent = int and* kind = gen_str
-         and* name = gen_str and* track = gen_str in
-         return (Trace.Span_begin { span; parent; kind; name; track }));
-        (let* span = int and* outcome = gen_str in
-         return (Trace.Span_end { span; outcome }));
-        (let* vif = gen_str and* flow = gen_pattern
-         and* tier = oneof [ return `Exact; return `Megaflow ]
-         and* cached = gen_str and* fresh = gen_str in
-         return (Trace.Cache_hit { vif; flow; tier; cached; fresh }));
-        (let* vif = gen_str and* flow = gen_pattern in
-         return (Trace.Cache_miss { vif; flow }));
-        (let* vif = gen_str and* reason = gen_str and* dropped = int
-         and* exact = int and* megaflow = int in
-         return (Trace.Cache_invalidate { vif; reason; dropped; exact; megaflow }));
-      ]
-  in
+  let gen_event = gen_event gen_float in
   let gen =
     QCheck2.Gen.(pair (small_list gen_event) (int_range 0 1_000_000_000))
   in
@@ -1129,6 +1301,9 @@ let suite =
   let t name f = Alcotest.test_case name `Quick f in
   [
     t "jsonl round trip" test_jsonl_round_trip;
+    t "golden wire format" test_golden_wire_format;
+    QCheck_alcotest.to_alcotest prop_jsonl_round_trip;
+    t "disable flushes teed jsonl" test_disable_flushes_teed_jsonl;
     t "jsonl rejects garbage" test_jsonl_rejects_garbage;
     t "pattern codec" test_pattern_codec;
     t "live run traces and metrics" test_trace_and_metrics_of_live_run;
@@ -1147,6 +1322,7 @@ let suite =
     t "monitor clean on table4" test_monitor_clean_table4;
     t "export nesting and validation" test_export_nesting_and_validation;
     t "export live run round trips" test_export_of_live_run_round_trips;
+    t "export escapes round trip" test_export_escapes_round_trip;
     t "flight ring wraparound" test_flight_wraparound;
     t "flight dump is valid trace" test_flight_dump_is_valid_trace;
     t "flight compact round trip" test_flight_compact_round_trip;
