@@ -17,8 +17,9 @@
    Scenario list and JSON schema: docs/BENCH.md.
 
    Allocation gate: dune exec bench/main.exe -- alloc-check (the
-   @alloc-check tier-1 alias) fails if any steady-state per-packet
-   scenario allocates or a decide call exceeds its garbage budget. *)
+   @alloc-check tier-1 alias) fails if any steady-state per-packet or
+   per-event scenario allocates or a decide call exceeds its garbage
+   budget. *)
 
 open Experiments
 
@@ -188,8 +189,8 @@ let bechamel_tests () =
            for i = 0 to 63 do
              ignore (Dcsim.Event_queue.push q (Dcsim.Simtime.of_ns i) i)
            done;
-           while Dcsim.Event_queue.pop q <> None do
-             ()
+           while Dcsim.Event_queue.length q > 0 do
+             ignore (Dcsim.Event_queue.take_min q)
            done));
   ]
 

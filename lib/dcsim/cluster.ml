@@ -47,12 +47,8 @@ let lookahead t = t.lookahead
 
 let next_event_time t =
   Array.fold_left
-    (fun acc e ->
-      match (Engine.next_event_time e, acc) with
-      | None, acc -> acc
-      | (Some _ as x), None -> x
-      | Some x, Some y -> Some (Simtime.min x y))
-    None t.shards
+    (fun acc e -> Simtime.min acc (Engine.next_event_time e))
+    Simtime.never t.shards
 
 let now t =
   match t.running with
@@ -110,39 +106,38 @@ let run_sharded ?until t =
       t.shards;
   let continue = ref true in
   while !continue && not t.stopping do
-    match next_event_time t with
-    | None -> continue := false
-    | Some start -> (
-        match until with
-        | Some limit when Simtime.(start > limit) ->
-            (* Every pending event lies beyond the horizon: park all
-               clocks at the limit, as [Engine.run ~until] would. *)
-            Array.iter (fun e -> Engine.advance_clock e limit) t.shards;
-            continue := false
-        | _ ->
-            let window_end = Simtime.add start lookahead in
-            t.windows <- t.windows + 1;
-            t.horizon <- window_end;
-            let final =
-              match until with
-              | Some limit when Simtime.(limit < window_end) -> Some limit
-              | _ -> None
-            in
-            Array.iter
-              (fun e ->
-                if not t.stopping then begin
-                  t.running <- Some e;
-                  (match final with
-                  | Some limit -> Engine.run ~until:limit e
-                  | None -> Engine.run_window e ~until_exclusive:window_end);
-                  t.running <- None
-                end)
-              t.shards;
-            (* A fully executed window (partial or not) leaves every
-               shard on a consistent boundary: nothing to complete on
-               the next [run]. *)
-            if not t.stopping then t.horizon <- Simtime.zero;
-            if final <> None then continue := false)
+    let start = next_event_time t in
+    if Simtime.equal start Simtime.never then continue := false
+    else
+      match until with
+      | Some limit when Simtime.(start > limit) ->
+          (* Every pending event lies beyond the horizon: park all
+             clocks at the limit, as [Engine.run ~until] would. *)
+          Array.iter (fun e -> Engine.advance_clock e limit) t.shards;
+          continue := false
+      | _ ->
+          let window_end = Simtime.add start lookahead in
+          t.windows <- t.windows + 1;
+          t.horizon <- window_end;
+          let final =
+            match until with
+            | Some limit -> Simtime.(limit < window_end)
+            | None -> false
+          in
+          Array.iter
+            (fun e ->
+              if not t.stopping then begin
+                t.running <- Some e;
+                if final then Engine.run ?until e
+                else Engine.run_window e ~until_exclusive:window_end;
+                t.running <- None
+              end)
+            t.shards;
+          (* A fully executed window (partial or not) leaves every
+             shard on a consistent boundary: nothing to complete on
+             the next [run]. *)
+          if not t.stopping then t.horizon <- Simtime.zero;
+          if final then continue := false
   done
 
 let run ?until t =

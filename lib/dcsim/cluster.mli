@@ -70,8 +70,9 @@ val now : t -> Simtime.t
     trace clock: events are always emitted by some running shard), and
     the maximum shard clock otherwise. *)
 
-val next_event_time : t -> Simtime.t option
-(** Earliest pending event across all shards, if any. *)
+val next_event_time : t -> Simtime.t
+(** Earliest pending event across all shards, or {!Simtime.never} when
+    every shard's queue is empty. *)
 
 val events_processed : t -> int
 (** Total events executed, summed over shards. *)

@@ -31,6 +31,10 @@ let after t span fn = at t (Simtime.add t.clock span) fn
 let cancel t handle = Event_queue.cancel t.queue handle
 
 let every t ?start span fn =
+  if Simtime.span_to_ns span <= 0 then
+    invalid_arg
+      (Format.asprintf "Engine.every: period %a is not positive" Simtime.pp_span
+         span);
   let first = match start with Some s -> s | None -> Simtime.add t.clock span in
   (* Clamp to now so a periodic task can be started from inside an event
      at (or before) the current instant without tripping [at]'s guard. *)
@@ -42,53 +46,41 @@ let every t ?start span fn =
   in
   ignore (at t first tick)
 
-let run ?until t =
+(* The one event loop: execute events strictly before [before] until the
+   queue runs dry there or [stop] is called. Allocates nothing. *)
+let rec drain t ~before =
+  if not t.stopping then begin
+    let time = Event_queue.min_time t.queue in
+    if (time : Simtime.t :> int) < (before : Simtime.t :> int) then begin
+      t.clock <- time;
+      t.processed <- t.processed + 1;
+      (Event_queue.take_min t.queue) ();
+      drain t ~before
+    end
+  end
+
+let run ?(until = Simtime.never) t =
   t.stopping <- false;
-  let continue = ref true in
-  while !continue do
-    if t.stopping then continue := false
-    else
-      match Event_queue.peek_time t.queue with
-      | None -> continue := false
-      | Some time -> (
-          match until with
-          | Some limit when Simtime.(time > limit) ->
-              t.clock <- limit;
-              continue := false
-          | _ -> (
-              match Event_queue.pop t.queue with
-              | None -> continue := false
-              | Some (time, fn) ->
-                  t.clock <- time;
-                  t.processed <- t.processed + 1;
-                  fn ()))
-  done
+  drain t
+    ~before:
+      (if Simtime.equal until Simtime.never then until
+       else Simtime.add until (Simtime.span_ns 1));
+  (* Events remain beyond the limit: park the clock on it. *)
+  if
+    (not t.stopping)
+    && not (Simtime.equal (Event_queue.min_time t.queue) Simtime.never)
+  then t.clock <- until
 
 let run_window t ~until_exclusive =
   t.stopping <- false;
-  let continue = ref true in
-  while !continue do
-    if t.stopping then continue := false
-    else
-      match Event_queue.peek_time t.queue with
-      | None -> continue := false
-      | Some time when Simtime.(time >= until_exclusive) -> continue := false
-      | Some _ -> (
-          match Event_queue.pop t.queue with
-          | None -> continue := false
-          | Some (time, fn) ->
-              t.clock <- time;
-              t.processed <- t.processed + 1;
-              fn ())
-  done;
+  drain t ~before:until_exclusive;
   (* Leave the clock at the window boundary so a cross-shard injection
      landing exactly on the boundary (the earliest instant the lookahead
      invariant allows) still satisfies [at]'s not-in-the-past guard. *)
   if (not t.stopping) && Simtime.(t.clock < until_exclusive) then
     t.clock <- until_exclusive
 
-let next_event_time t = Event_queue.peek_time t.queue
-let pending_events t = Event_queue.length t.queue
+let next_event_time t = Event_queue.min_time t.queue
 
 let advance_clock t time = if Simtime.(t.clock < time) then t.clock <- time
 

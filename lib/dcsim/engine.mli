@@ -10,7 +10,9 @@ val create : ?seed:int -> unit -> t
 val now : t -> Simtime.t
 val rng : t -> Rng.t
 
-type handle
+type handle [@@immediate]
+(** Identifies a scheduled closure for {!cancel}; see
+    {!Event_queue.handle}. *)
 
 val at : t -> Simtime.t -> (unit -> unit) -> handle
 (** Schedule a closure at an absolute instant (must not be in the past). *)
@@ -19,17 +21,21 @@ val after : t -> Simtime.span -> (unit -> unit) -> handle
 (** Schedule a closure [span] after the current time. *)
 
 val cancel : t -> handle -> bool
+(** Unschedule a closure. [false] (a no-op) if it already ran or was
+    already cancelled. *)
 
 val every :
   t -> ?start:Simtime.t -> Simtime.span -> (unit -> [ `Continue | `Stop ]) -> unit
 (** Periodic callback; reschedules itself until it returns [`Stop].
     A [start] at or before the current clock is clamped to now, so a
     periodic task can be kicked off from inside an event at the current
-    instant. *)
+    instant. Raises [Invalid_argument] if the period is not positive. *)
 
 val run : ?until:Simtime.t -> t -> unit
-(** Execute events in order. With [until], events scheduled later than
-    the limit remain in the queue and the clock stops at [until]. *)
+(** Execute events in order until the queue drains or {!stop} is
+    called. With [until], events scheduled later than the limit remain
+    in the queue and the clock stops at [until]. The loop allocates
+    nothing per event beyond what the executed closures allocate. *)
 
 val run_window : t -> until_exclusive:Simtime.t -> unit
 (** Execute events with timestamps {e strictly before} [until_exclusive]
@@ -41,12 +47,10 @@ val run_window : t -> until_exclusive:Simtime.t -> unit
     mid-window the clock stays on the last executed event so the window
     can be resumed. *)
 
-val next_event_time : t -> Simtime.t option
-(** Timestamp of the earliest pending event, without running it. The
-    cluster scheduler uses this to skip idle windows. *)
-
-val pending_events : t -> int
-(** Events currently in the queue (scheduled and not yet fired). *)
+val next_event_time : t -> Simtime.t
+(** Timestamp of the earliest pending event, without running it, or
+    {!Simtime.never} when nothing is pending. The cluster scheduler uses
+    this to skip idle windows. *)
 
 val advance_clock : t -> Simtime.t -> unit
 (** Move the clock forward to [time] without running anything (no-op if

@@ -1,167 +1,154 @@
-type 'a entry = {
-  time : Simtime.t;
-  seq : int;
-  payload : 'a;
-  mutable cancelled : bool;
-  (* Set once the entry has permanently left the heap (popped, or
-     dropped during lazy deletion / compaction). Distinguishing
-     "cancelled" from "consumed" makes cancel-after-fire and
-     double-cancel safe no-ops: neither touches [live] twice. *)
-  mutable consumed : bool;
-}
+(* An indexed binary min-heap over unboxed int arrays.
+
+   Each pending event occupies a slot. Per slot, parallel arrays hold
+   its time, its sequence number (the FIFO tie-break), the handle of its
+   occupant and its index in [heap]; [payloads] holds the payload.
+   [heap] is an array of slot numbers, so sifting moves ints only and no
+   store goes through the write barrier. A payload is written once at
+   push and cleared once when its slot is released, so the queue never
+   retains a fired or cancelled payload.
+
+   [heap] is a permutation of the [slots] slots allocated so far: the
+   first [size] entries are the live heap, the rest are the free slots,
+   so releasing a slot is parking it just past the live heap. *)
+
+type handle = int
+(* The slot number in the low [slot_bits] bits, the slot's reuse
+   generation above them. Releasing a slot bumps the generation, so a
+   handle that fired, was cancelled or whose slot was reused no longer
+   equals [handles.(slot)]. The generation wraps after 2^39 reuses of
+   one slot. *)
+
+let slot_bits = 24
+let max_slots = 1 lsl slot_bits
 
 type 'a t = {
-  mutable heap : 'a entry array;
-  (* [heap] has [size] live slots; slots >= [size] always hold the
-     shared dummy entry so popped payloads (often closures) are not
-     retained by the array. *)
+  mutable time : Simtime.t array;
+  mutable seq : int array;
+  mutable handles : int array;
+  mutable pos : int array;
+  mutable payloads : Obj.t array;
+  mutable heap : int array;
   mutable size : int;
+  mutable slots : int;
   mutable next_seq : int;
-  mutable live : int;
 }
 
-type handle = Obj.t
-(* The handle is the entry itself, hidden behind Obj.t so the interface
-   need not expose the payload type parameter. Cancellation just flips
-   the entry's flag; the heap drops cancelled entries lazily on pop, or
-   eagerly when they come to dominate (see [maybe_compact]). *)
+(* Filler for released payload cells: an immediate, so it pins nothing. *)
+let vacant = Obj.repr ()
 
-(* One shared filler for vacated slots. Its payload is (), an
-   immediate, so it pins nothing; it is never read as a live entry
-   because slots >= [size] are never accessed. *)
-let shared_dummy : Obj.t entry =
+let create () =
   {
-    time = Simtime.zero;
-    seq = min_int;
-    payload = Obj.repr ();
-    cancelled = true;
-    consumed = true;
+    time = [||];
+    seq = [||];
+    handles = [||];
+    pos = [||];
+    payloads = [||];
+    heap = [||];
+    size = 0;
+    slots = 0;
+    next_seq = 0;
   }
 
-let dummy () : 'a entry = Obj.magic shared_dummy
+let length t = t.size
 
-let create () = { heap = [||]; size = 0; next_seq = 0; live = 0 }
-let is_empty t = t.live = 0
-let length t = t.live
+(* Inlined: as calls, these two cost a quarter of a push/take pair. *)
+let[@inline] before t a b =
+  let ta = (t.time.(a) :> int) and tb = (t.time.(b) :> int) in
+  ta < tb || (ta = tb && t.seq.(a) < t.seq.(b))
 
-let before a b =
-  Simtime.compare a.time b.time < 0
-  || (Simtime.equal a.time b.time && a.seq < b.seq)
+let[@inline] place t i s =
+  t.heap.(i) <- s;
+  t.pos.(s) <- i
 
-let swap t i j =
-  let tmp = t.heap.(i) in
-  t.heap.(i) <- t.heap.(j);
-  t.heap.(j) <- tmp
-
-let rec sift_up t i =
-  if i > 0 then begin
+(* Move the hole at [i] up until slot [s] fits, then put [s] there. *)
+let rec sift_up t i s =
+  if i = 0 then place t 0 s
+  else
     let parent = (i - 1) / 2 in
-    if before t.heap.(i) t.heap.(parent) then begin
-      swap t i parent;
-      sift_up t parent
+    let p = t.heap.(parent) in
+    if before t s p then begin
+      place t i p;
+      sift_up t parent s
     end
-  end
+    else place t i s
 
-let rec sift_down t i =
-  let l = (2 * i) + 1 and r = (2 * i) + 2 in
-  let smallest = ref i in
-  if l < t.size && before t.heap.(l) t.heap.(!smallest) then smallest := l;
-  if r < t.size && before t.heap.(r) t.heap.(!smallest) then smallest := r;
-  if !smallest <> i then begin
-    swap t i !smallest;
-    sift_down t !smallest
-  end
+let rec sift_down t i s =
+  let l = (2 * i) + 1 in
+  if l >= t.size then place t i s
+  else
+    let c =
+      if l + 1 < t.size && before t t.heap.(l + 1) t.heap.(l) then l + 1 else l
+    in
+    let cs = t.heap.(c) in
+    if before t cs s then begin
+      place t i cs;
+      sift_down t c s
+    end
+    else place t i s
 
 let grow t =
-  let capacity = Array.length t.heap in
-  if t.size = capacity then begin
-    let new_capacity = Stdlib.max 16 (2 * capacity) in
-    let heap = Array.make new_capacity (dummy ()) in
-    Array.blit t.heap 0 heap 0 t.size;
-    t.heap <- heap
-  end
+  let n = max 16 (2 * t.slots) in
+  if n > max_slots then
+    failwith
+      (Printf.sprintf "Event_queue.push: more than %d pending events" max_slots);
+  let extend a fill =
+    let b = Array.make n fill in
+    Array.blit a 0 b 0 t.slots;
+    b
+  in
+  t.time <- extend t.time Simtime.zero;
+  t.seq <- extend t.seq 0;
+  t.handles <- extend t.handles 0;
+  t.pos <- extend t.pos 0;
+  t.payloads <- extend t.payloads vacant;
+  t.heap <- extend t.heap 0
 
 let push t time payload =
-  let entry = { time; seq = t.next_seq; payload; cancelled = false; consumed = false } in
+  if (time : Simtime.t :> int) = (Simtime.never :> int) then
+    invalid_arg "Event_queue.push: cannot schedule at Simtime.never";
+  if t.size = t.slots then begin
+    if t.slots = Array.length t.heap then grow t;
+    let s = t.slots in
+    t.handles.(s) <- s;
+    place t s s;
+    t.slots <- s + 1
+  end;
+  let s = t.heap.(t.size) in
+  t.time.(s) <- time;
+  t.seq.(s) <- t.next_seq;
   t.next_seq <- t.next_seq + 1;
-  grow t;
-  t.heap.(t.size) <- entry;
+  t.payloads.(s) <- Obj.repr payload;
   t.size <- t.size + 1;
-  t.live <- t.live + 1;
-  sift_up t (t.size - 1);
-  Obj.repr entry
+  sift_up t (t.size - 1) s;
+  t.handles.(s)
 
-(* Drop every cancelled entry in one pass and re-heapify. O(size);
-   amortised against the cancellations that triggered it. *)
-let compact t =
-  let old_size = t.size in
-  let j = ref 0 in
-  for i = 0 to old_size - 1 do
-    let e = t.heap.(i) in
-    if e.cancelled then e.consumed <- true
-    else begin
-      t.heap.(!j) <- e;
-      incr j
-    end
-  done;
-  t.size <- !j;
-  Array.fill t.heap t.size (old_size - t.size) (dummy ());
-  for i = (t.size / 2) - 1 downto 0 do
-    sift_down t i
-  done;
-  (* Shed capacity the burst of cancellations no longer needs. *)
-  let capacity = Array.length t.heap in
-  if capacity > 16 && t.size * 4 < capacity then
-    t.heap <- Array.sub t.heap 0 (Stdlib.max 16 (capacity / 2))
-
-let compact_threshold = 64
-
-let maybe_compact t =
-  if t.size >= compact_threshold && 2 * t.live < t.size then compact t
+(* Take the slot at heap index [i] out of the heap and release it. *)
+let remove_at t i =
+  let s = t.heap.(i) in
+  let last = t.size - 1 in
+  t.size <- last;
+  if i < last then begin
+    let moved = t.heap.(last) in
+    if i > 0 && before t moved t.heap.((i - 1) / 2) then sift_up t i moved
+    else sift_down t i moved
+  end;
+  place t last s;
+  t.payloads.(s) <- vacant;
+  t.handles.(s) <- t.handles.(s) + max_slots
 
 let cancel t handle =
-  let entry : 'a entry = Obj.obj handle in
-  if entry.cancelled || entry.consumed then false
-  else begin
-    entry.cancelled <- true;
-    t.live <- t.live - 1;
-    maybe_compact t;
+  let s = handle land (max_slots - 1) in
+  if s < t.slots && t.handles.(s) = handle then begin
+    remove_at t t.pos.(s);
     true
   end
+  else false
 
-let pop_entry t =
-  if t.size = 0 then None
-  else begin
-    let top = t.heap.(0) in
-    t.size <- t.size - 1;
-    if t.size > 0 then begin
-      t.heap.(0) <- t.heap.(t.size);
-      t.heap.(t.size) <- dummy ();
-      sift_down t 0
-    end
-    else t.heap.(0) <- dummy ();
-    top.consumed <- true;
-    Some top
-  end
+let min_time t = if t.size = 0 then Simtime.never else t.time.(t.heap.(0))
 
-let rec pop t =
-  match pop_entry t with
-  | None -> None
-  | Some entry ->
-      if entry.cancelled then pop t
-      else begin
-        t.live <- t.live - 1;
-        Some (entry.time, entry.payload)
-      end
-
-let rec peek_time t =
-  if t.size = 0 then None
-  else begin
-    let top = t.heap.(0) in
-    if top.cancelled then begin
-      (* Discard the cancelled top so repeated peeks stay cheap. *)
-      ignore (pop_entry t);
-      peek_time t
-    end
-    else Some top.time
-  end
+let take_min t =
+  if t.size = 0 then invalid_arg "Event_queue.take_min: empty queue";
+  let payload = t.payloads.(t.heap.(0)) in
+  remove_at t 0;
+  Obj.obj payload

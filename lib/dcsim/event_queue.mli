@@ -2,29 +2,39 @@
 
     A binary min-heap ordered by (time, sequence number). The sequence
     number breaks ties so that events scheduled for the same instant
-    fire in scheduling order, which keeps runs deterministic. *)
+    fire in scheduling order, which keeps runs deterministic.
+
+    The heap is indexed and kept in unboxed [int] arrays: {!push},
+    {!take_min} and {!cancel} are O(log n) and allocate nothing once the
+    queue has grown to its working size, and a fired or cancelled
+    payload is not retained. *)
 
 type 'a t
 
 val create : unit -> 'a t
-val is_empty : 'a t -> bool
-val length : 'a t -> int
 
-type handle
-(** Identifies a scheduled event so it can be cancelled. *)
+val length : 'a t -> int
+(** Events currently pending (pushed, and neither taken nor cancelled). *)
+
+type handle [@@immediate]
+(** Identifies one pushed event so it can be cancelled. An immediate
+    value: storing one allocates nothing. *)
 
 val push : 'a t -> Simtime.t -> 'a -> handle
+(** [push q time payload] schedules [payload] at [time]. Raises
+    [Invalid_argument] if [time] is {!Simtime.never}, and [Failure] if
+    more than 2{^24} events would be pending at once. *)
+
 val cancel : 'a t -> handle -> bool
-(** [cancel q h] removes the event; returns [false] if it already fired
-    or was already cancelled — both are safe no-ops that leave
-    {!length} untouched. Cancellation is amortised O(1): deletion is
-    lazy, but once cancelled entries outnumber live ones the heap is
-    compacted in a single pass so it cannot grow without bound under
-    heavy reschedule churn. Popped and compacted-away slots are
-    cleared, so the queue does not retain payload closures. *)
+(** [cancel q h] removes the event [h] identifies and returns [true].
+    It returns [false], and changes nothing, when that event already
+    fired or was already cancelled, including when its place in the
+    queue has since been reused by a later {!push}. *)
 
-val pop : 'a t -> (Simtime.t * 'a) option
-(** Remove and return the earliest live event. *)
+val min_time : 'a t -> Simtime.t
+(** Time of the earliest pending event, or {!Simtime.never} when the
+    queue is empty. *)
 
-val peek_time : 'a t -> Simtime.t option
-(** Timestamp of the earliest live event without removing it. *)
+val take_min : 'a t -> 'a
+(** Remove the earliest pending event and return its payload. Raises
+    [Invalid_argument] on an empty queue. *)

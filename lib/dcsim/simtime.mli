@@ -15,6 +15,12 @@ type span = private int
 (** {2 Instants: construction and conversion} *)
 
 val zero : t
+
+val never : t
+(** The latest representable instant ([max_int] ns). Used as a sentinel
+    for "no pending event" (see {!Event_queue.min_time}); no event can be
+    scheduled at it. *)
+
 val of_ns : int -> t
 val of_us : float -> t
 val of_ms : float -> t

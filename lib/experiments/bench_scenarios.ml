@@ -195,11 +195,14 @@ let run_measurement ~smoke =
 let eventq_churn ~smoke ~events =
   let rng = Rng.create ~seed:7 in
   let times = Array.init events (fun _ -> Rng.int rng 1_000_000_000) in
+  (* One long-lived queue, as in the engine: its arrays grow during the
+     discarded warm-up run, so the timed runs price steady-state
+     push/take. *)
+  let q = Dcsim.Event_queue.create () in
   let run_scenario () =
-    let q = Dcsim.Event_queue.create () in
     Array.iter (fun ns -> ignore (Dcsim.Event_queue.push q (Simtime.of_ns ns) ns)) times;
-    while Dcsim.Event_queue.pop q <> None do
-      ()
+    while Dcsim.Event_queue.length q > 0 do
+      ignore (Dcsim.Event_queue.take_min q)
     done
   in
   let min_time = if smoke then 0.02 else 0.2 in
@@ -215,18 +218,16 @@ let eventq_cancel_heavy ~smoke ~events =
   let times = Array.init events (fun _ -> Rng.int rng 1_000_000_000) in
   (* Pre-draw which events die so the timed region draws nothing. *)
   let doomed = Array.init events (fun _ -> Rng.int rng 10 < 9) in
+  let q = Dcsim.Event_queue.create () in
   let run_scenario () =
-    let q = Dcsim.Event_queue.create () in
     let handles =
-      Array.mapi
-        (fun i ns -> (i, Dcsim.Event_queue.push q (Simtime.of_ns ns) ns))
-        times
+      Array.map (fun ns -> Dcsim.Event_queue.push q (Simtime.of_ns ns) ns) times
     in
-    Array.iter
-      (fun (i, h) -> if doomed.(i) then ignore (Dcsim.Event_queue.cancel q h))
+    Array.iteri
+      (fun i h -> if doomed.(i) then ignore (Dcsim.Event_queue.cancel q h))
       handles;
-    while Dcsim.Event_queue.pop q <> None do
-      ()
+    while Dcsim.Event_queue.length q > 0 do
+      ignore (Dcsim.Event_queue.take_min q)
     done
   in
   let min_time = if smoke then 0.02 else 0.2 in
@@ -240,6 +241,27 @@ let eventq_cancel_heavy ~smoke ~events =
 let run_eventqueue ~smoke =
   let events = if smoke then 2_000 else 200_000 in
   [ eventq_churn ~smoke ~events; eventq_cancel_heavy ~smoke ~events ]
+
+(* The engine loop's own per-event cost: [Engine.at] of one
+   preallocated closure at pre-drawn offsets, then [Engine.run]. One
+   long-lived engine, as in a simulation, so the queue grows during the
+   discarded warm-up run and the timed runs allocate nothing. *)
+let engine_schedule_fire ~smoke ~events =
+  let rng = Rng.create ~seed:13 in
+  let offsets = Array.init events (fun _ -> Simtime.span_ns (Rng.int rng 1_000_000)) in
+  let e = Engine.create () in
+  let fired = ref 0 in
+  let fn () = incr fired in
+  let run_scenario () =
+    let base = Engine.now e in
+    Array.iter (fun span -> ignore (Engine.at e (Simtime.add base span) fn)) offsets;
+    Engine.run e
+  in
+  let min_time = if smoke then 0.02 else 0.2 in
+  let timed = time_runs ~min_time run_scenario in
+  mk_result ~scenario:"engine/schedule-fire" ~unit_:"event"
+    ~params:[ ("events", float_of_int events) ]
+    ~ops:events timed
 
 (* --- observability: emission overhead (docs/BENCH.md) ---
 
@@ -853,6 +875,9 @@ let alloc_check () =
       ("loadgen/churn-event", 100.0);
       (* One boxed float argument + result across the module boundary. *)
       ("loadgen/curve-sample", 6.0);
+      (* The event queue and the engine loop: nothing per event. *)
+      ("eventq-churn/2000", zero_bar);
+      ("engine/schedule-fire", zero_bar);
     ]
   in
   let results =
@@ -865,6 +890,8 @@ let alloc_check () =
         loadgen_launch_case ~smoke:true;
         loadgen_churn_case ~smoke:true;
         loadgen_curve_case ~smoke:true;
+        eventq_churn ~smoke:true ~events:2_000;
+        engine_schedule_fire ~smoke:true ~events:2_000;
       ]
   in
   List.filter_map
@@ -918,7 +945,8 @@ let engine_case ~smoke ~racks =
 
 let run_engine ~smoke =
   let rack_counts = if smoke then [ 1; 4 ] else [ 1; 4; 16; 64 ] in
-  List.map (fun racks -> engine_case ~smoke ~racks) rack_counts
+  engine_schedule_fire ~smoke ~events:(if smoke then 2_000 else 200_000)
+  :: List.map (fun racks -> engine_case ~smoke ~racks) rack_counts
 
 (* --- JSON emission --- *)
 

@@ -40,92 +40,86 @@ let test_serialization_delay () =
 
 (* --- Event queue --- *)
 
+module Q = Dcsim.Event_queue
+
+(* The earliest payload, or [None] once the queue is empty. *)
+let pop q = if Q.length q = 0 then None else Some (Q.take_min q)
+
 let test_queue_ordering () =
-  let q = Dcsim.Event_queue.create () in
-  ignore (Dcsim.Event_queue.push q (Simtime.of_ns 30) "c");
-  ignore (Dcsim.Event_queue.push q (Simtime.of_ns 10) "a");
-  ignore (Dcsim.Event_queue.push q (Simtime.of_ns 20) "b");
-  let pop () =
-    match Dcsim.Event_queue.pop q with Some (_, v) -> v | None -> "-"
-  in
+  let q = Q.create () in
+  ignore (Q.push q (Simtime.of_ns 30) "c");
+  ignore (Q.push q (Simtime.of_ns 10) "a");
+  ignore (Q.push q (Simtime.of_ns 20) "b");
+  checki "min time" 10 (Simtime.to_ns (Q.min_time q));
+  let pop () = Q.take_min q in
   check Alcotest.string "first" "a" (pop ());
   check Alcotest.string "second" "b" (pop ());
   check Alcotest.string "third" "c" (pop ());
-  checkb "empty" true (Dcsim.Event_queue.is_empty q)
+  checki "empty" 0 (Q.length q);
+  checkb "never when empty" true Simtime.(equal (Q.min_time q) never);
+  Alcotest.check_raises "take from empty"
+    (Invalid_argument "Event_queue.take_min: empty queue") (fun () ->
+      ignore (Q.take_min q));
+  Alcotest.check_raises "push at the sentinel"
+    (Invalid_argument "Event_queue.push: cannot schedule at Simtime.never")
+    (fun () -> ignore (Q.push q Simtime.never "x"))
 
 let test_queue_fifo_ties () =
-  let q = Dcsim.Event_queue.create () in
+  let q = Q.create () in
   let t = Simtime.of_ns 5 in
-  ignore (Dcsim.Event_queue.push q t 1);
-  ignore (Dcsim.Event_queue.push q t 2);
-  ignore (Dcsim.Event_queue.push q t 3);
-  let order =
-    List.init 3 (fun _ ->
-        match Dcsim.Event_queue.pop q with Some (_, v) -> v | None -> -1)
-  in
+  ignore (Q.push q t 1);
+  ignore (Q.push q t 2);
+  ignore (Q.push q t 3);
+  let order = List.init 3 (fun _ -> Q.take_min q) in
   check (Alcotest.list Alcotest.int) "scheduling order" [ 1; 2; 3 ] order
 
 let test_queue_cancel () =
-  let q = Dcsim.Event_queue.create () in
-  let h1 = Dcsim.Event_queue.push q (Simtime.of_ns 1) 1 in
-  ignore (Dcsim.Event_queue.push q (Simtime.of_ns 2) 2);
-  checkb "cancel ok" true (Dcsim.Event_queue.cancel q h1);
-  checkb "double cancel" false (Dcsim.Event_queue.cancel q h1);
-  checki "length" 1 (Dcsim.Event_queue.length q);
-  (match Dcsim.Event_queue.pop q with
-  | Some (_, v) -> checki "survivor" 2 v
-  | None -> Alcotest.fail "expected one event");
-  checkb "drained" true (Dcsim.Event_queue.pop q = None)
+  let q = Q.create () in
+  let h1 = Q.push q (Simtime.of_ns 1) 1 in
+  ignore (Q.push q (Simtime.of_ns 2) 2);
+  checkb "cancel ok" true (Q.cancel q h1);
+  checkb "double cancel" false (Q.cancel q h1);
+  checki "length" 1 (Q.length q);
+  check Alcotest.(option int) "survivor" (Some 2) (pop q);
+  check Alcotest.(option int) "drained" None (pop q)
 
 let test_queue_peek_skips_cancelled () =
-  let q = Dcsim.Event_queue.create () in
-  let h = Dcsim.Event_queue.push q (Simtime.of_ns 1) 1 in
-  ignore (Dcsim.Event_queue.push q (Simtime.of_ns 7) 2);
-  ignore (Dcsim.Event_queue.cancel q h);
-  (match Dcsim.Event_queue.peek_time q with
-  | Some t -> checki "peek" 7 (Simtime.to_ns t)
-  | None -> Alcotest.fail "expected peek");
-  ()
+  let q = Q.create () in
+  let h = Q.push q (Simtime.of_ns 1) 1 in
+  ignore (Q.push q (Simtime.of_ns 7) 2);
+  ignore (Q.cancel q h);
+  checki "peek" 7 (Simtime.to_ns (Q.min_time q))
 
 let test_queue_cancel_after_pop () =
   (* Regression: cancelling a handle whose event already fired must be
      a no-op — it used to return true and corrupt [length]. *)
-  let q = Dcsim.Event_queue.create () in
-  let h1 = Dcsim.Event_queue.push q (Simtime.of_ns 1) 1 in
-  ignore (Dcsim.Event_queue.push q (Simtime.of_ns 2) 2);
-  (match Dcsim.Event_queue.pop q with
-  | Some (_, v) -> checki "popped first" 1 v
-  | None -> Alcotest.fail "expected an event");
-  checkb "cancel after fire is a no-op" false (Dcsim.Event_queue.cancel q h1);
-  checki "length uncorrupted" 1 (Dcsim.Event_queue.length q);
-  checkb "not empty" false (Dcsim.Event_queue.is_empty q);
-  (* Cancel-then-pop-then-cancel: the lazily-discarded entry must not
-     be cancellable a second time either. *)
-  let h2 = Dcsim.Event_queue.push q (Simtime.of_ns 1) 3 in
-  checkb "cancel live" true (Dcsim.Event_queue.cancel q h2);
-  (match Dcsim.Event_queue.pop q with
-  | Some (_, v) -> checki "skips cancelled" 2 v
-  | None -> Alcotest.fail "expected survivor");
-  checkb "cancel after lazy discard" false (Dcsim.Event_queue.cancel q h2);
-  checki "drained" 0 (Dcsim.Event_queue.length q);
-  checkb "pop on empty" true (Dcsim.Event_queue.pop q = None)
+  let q = Q.create () in
+  let h1 = Q.push q (Simtime.of_ns 1) 1 in
+  ignore (Q.push q (Simtime.of_ns 2) 2);
+  checki "popped first" 1 (Q.take_min q);
+  checkb "cancel after fire is a no-op" false (Q.cancel q h1);
+  checki "length uncorrupted" 1 (Q.length q);
+  (* The fired event's slot is reused by the next push: the stale
+     handle must not cancel the new occupant. *)
+  let h2 = Q.push q (Simtime.of_ns 1) 3 in
+  checkb "stale handle after slot reuse" false (Q.cancel q h1);
+  checkb "cancel live" true (Q.cancel q h2);
+  check Alcotest.(option int) "skips cancelled" (Some 2) (pop q);
+  checkb "cancel after cancel" false (Q.cancel q h2);
+  checki "drained" 0 (Q.length q);
+  check Alcotest.(option int) "pop on empty" None (pop q)
 
-let test_queue_compaction () =
-  (* Mass cancellation triggers heap compaction; ordering and length
+let test_queue_mass_cancel () =
+  (* Mass cancellation from every heap position; ordering and length
      must survive it. *)
-  let q = Dcsim.Event_queue.create () in
-  let handles =
-    List.init 10_000 (fun i -> (i, Dcsim.Event_queue.push q (Simtime.of_ns i) i))
-  in
+  let q = Q.create () in
+  let handles = List.init 10_000 (fun i -> (i, Q.push q (Simtime.of_ns i) i)) in
   List.iter
-    (fun (i, h) ->
-      if i mod 1000 <> 0 then checkb "cancel" true (Dcsim.Event_queue.cancel q h))
+    (fun (i, h) -> if i mod 1000 <> 0 then checkb "cancel" true (Q.cancel q h))
     handles;
-  checki "live survivors" 10 (Dcsim.Event_queue.length q);
+  checki "live survivors" 10 (Q.length q);
   let rec drain acc =
-    match Dcsim.Event_queue.pop q with
-    | None -> List.rev acc
-    | Some (_, v) -> drain (v :: acc)
+    match pop q with None -> List.rev acc | Some v -> drain (v :: acc)
   in
   Alcotest.check (Alcotest.list Alcotest.int) "survivors in order"
     [ 0; 1000; 2000; 3000; 4000; 5000; 6000; 7000; 8000; 9000 ]
@@ -226,6 +220,26 @@ let test_engine_every_past_start_clamps () =
   Alcotest.check (Alcotest.list Alcotest.int) "clamped to now, then periodic"
     [ 5_000; 15_000; 25_000 ]
     (List.rev !fire_times)
+
+(* Regression: a period of zero used to livelock [run] (the tick
+   rescheduled itself at the same instant forever), and a negative one
+   failed on the second tick inside [at] with an unrelated message.
+   [every] must reject both up front. The engine is never run, so the
+   test cannot hang. *)
+let test_engine_every_rejects_nonpositive_period () =
+  List.iter
+    (fun ns ->
+      let e = Engine.create () in
+      let period = Simtime.span_ns ns in
+      Alcotest.check_raises
+        (Printf.sprintf "period %d ns" ns)
+        (Invalid_argument
+           (Format.asprintf "Engine.every: period %a is not positive"
+              Simtime.pp_span period))
+        (fun () -> Engine.every e period (fun () -> `Continue));
+      checkb "nothing scheduled" true
+        Simtime.(equal (Engine.next_event_time e) never))
+    [ 0; -5 ]
 
 let test_engine_stop () =
   let e = Engine.create () in
@@ -373,24 +387,62 @@ let test_littles_law () =
 
 (* --- Property tests --- *)
 
-let prop_event_queue_sorted =
-  QCheck2.Test.make ~name:"event queue pops in time order" ~count:200
-    QCheck2.Gen.(list_size (int_range 1 50) (int_range 0 1_000_000))
-    (fun times ->
-      let q = Dcsim.Event_queue.create () in
-      List.iter (fun t -> ignore (Dcsim.Event_queue.push q (Simtime.of_ns t) t)) times;
-      let rec drain acc =
-        match Dcsim.Event_queue.pop q with
-        | None -> List.rev acc
-        | Some (_, v) -> drain (v :: acc)
+(* Model-based check of the queue against a list oracle ordered by
+   (time, push order). Times come from a narrow range so ties are
+   common and a broken FIFO tie-break changes the popped payload ids.
+   Cancels draw from every handle ever issued: live ones, ones that
+   already fired, ones already cancelled, and ones whose slot has since
+   been reused by a later push. *)
+type queue_op = Push of int | Pop | Cancel of int
+
+let print_queue_op = function
+  | Push t -> Printf.sprintf "push@%d" t
+  | Pop -> "pop"
+  | Cancel k -> Printf.sprintf "cancel#%d" k
+
+let prop_event_queue_model =
+  let op =
+    QCheck2.Gen.(
+      frequency
+        [
+          (5, map (fun t -> Push t) (int_range 0 20));
+          (3, pure Pop);
+          (3, map (fun k -> Cancel k) nat);
+        ])
+  in
+  QCheck2.Test.make ~name:"event queue matches a (time, push order) model"
+    ~count:300
+    ~print:(QCheck2.Print.list print_queue_op)
+    QCheck2.Gen.(list_size (int_range 1 300) op)
+    (fun ops ->
+      let q = Q.create () in
+      let handles = Hashtbl.create 64 in
+      (* (time, id) pairs of the live events, in firing order. *)
+      let model = ref [] in
+      let step op =
+        (match op with
+        | Push t ->
+            let id = Hashtbl.length handles in
+            Hashtbl.replace handles id (Q.push q (Simtime.of_ns t) id);
+            model := List.merge compare !model [ (t, id) ];
+            true
+        | Pop -> (
+            match !model with
+            | [] -> Simtime.(equal (Q.min_time q) never) && pop q = None
+            | (t, id) :: rest ->
+                model := rest;
+                Simtime.to_ns (Q.min_time q) = t && pop q = Some id)
+        | Cancel k ->
+            let n = Hashtbl.length handles in
+            n = 0
+            ||
+            let id = k mod n in
+            let live = List.exists (fun (_, i) -> i = id) !model in
+            model := List.filter (fun (_, i) -> i <> id) !model;
+            Q.cancel q (Hashtbl.find handles id) = live)
+        && Q.length q = List.length !model
       in
-      let popped = drain [] in
-      popped = List.sort compare times
-      || (* stable for duplicates in push order: compare as multiset+sorted *)
-      List.sort compare popped = List.sort compare times
-      && List.for_all2 ( <= )
-           (List.filteri (fun i _ -> i < List.length popped - 1) popped)
-           (List.tl popped))
+      List.for_all step ops)
 
 let prop_event_queue_length_under_churn =
   (* Random interleavings of push / cancel / pop (including cancels of
@@ -399,13 +451,13 @@ let prop_event_queue_length_under_churn =
   QCheck2.Test.make ~name:"event queue length consistent under churn" ~count:200
     QCheck2.Gen.(list_size (int_range 1 200) (pair (int_range 0 1000) (int_range 0 99)))
     (fun ops ->
-      let q = Dcsim.Event_queue.create () in
+      let q = Q.create () in
       let handles = ref [] in
       let live = ref 0 in
       List.iter
         (fun (t, action) ->
           if action < 55 then begin
-            handles := Dcsim.Event_queue.push q (Simtime.of_ns t) t :: !handles;
+            handles := Q.push q (Simtime.of_ns t) t :: !handles;
             incr live
           end
           else if action < 85 then begin
@@ -413,17 +465,15 @@ let prop_event_queue_length_under_churn =
             | [] -> ()
             | h :: rest ->
                 handles := rest;
-                if Dcsim.Event_queue.cancel q h then decr live
+                if Q.cancel q h then decr live
           end
           else begin
-            match Dcsim.Event_queue.pop q with
-            | Some _ -> decr live
-            | None -> ()
+            match pop q with Some _ -> decr live | None -> ()
           end)
         ops;
-      let consistent = Dcsim.Event_queue.length q = !live in
+      let consistent = Q.length q = !live in
       let rec drain n =
-        match Dcsim.Event_queue.pop q with None -> n | Some _ -> drain (n + 1)
+        match pop q with None -> n | Some _ -> drain (n + 1)
       in
       consistent && drain 0 = !live)
 
@@ -462,7 +512,7 @@ let suite =
     t "event queue fifo ties" test_queue_fifo_ties;
     t "event queue cancel" test_queue_cancel;
     t "event queue cancel after pop" test_queue_cancel_after_pop;
-    t "event queue compaction" test_queue_compaction;
+    t "event queue mass cancel" test_queue_mass_cancel;
     t "event queue peek skips cancelled" test_queue_peek_skips_cancelled;
     t "ring buffer basics" test_ring_basics;
     t "median in place" test_median_in_place;
@@ -472,6 +522,8 @@ let suite =
     t "engine rejects past" test_engine_rejects_past;
     t "engine every" test_engine_every;
     t "engine every past start clamps" test_engine_every_past_start_clamps;
+    t "engine every rejects non-positive period"
+      test_engine_every_rejects_nonpositive_period;
     t "engine stop" test_engine_stop;
     t "rng determinism" test_rng_determinism;
     t "rng split stable" test_rng_split_stable;
@@ -487,7 +539,7 @@ let suite =
     t "md1 below mm1" test_md1_below_mm1;
     t "mmc wait" test_mmc;
     t "littles law" test_littles_law;
-    QCheck_alcotest.to_alcotest prop_event_queue_sorted;
+    QCheck_alcotest.to_alcotest prop_event_queue_model;
     QCheck_alcotest.to_alcotest prop_event_queue_length_under_churn;
     QCheck_alcotest.to_alcotest prop_histogram_percentile_monotone;
     QCheck_alcotest.to_alcotest prop_summary_mean_bounds;

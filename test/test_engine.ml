@@ -28,7 +28,8 @@ let test_run_window_exclusive_bound () =
     Alcotest.(list int)
     "only the strictly-before event fired" [ 10 ] (List.rev !fired);
   checki "clock parked at the boundary" 20 (Simtime.to_ns (Engine.now e));
-  checki "two events still pending" 2 (Engine.pending_events e);
+  checki "next pending event" 20
+    (Simtime.to_ns (Engine.next_event_time e));
   (* An injection exactly at the boundary is legal: [at]'s not-in-the-
      past guard accepts time = clock. *)
   at 20;
@@ -43,8 +44,8 @@ let test_run_window_empty_advances_clock () =
   Engine.run_window e ~until_exclusive:(ns 100);
   checki "clock advanced through the empty window" 100
     (Simtime.to_ns (Engine.now e));
-  check (Alcotest.option Alcotest.int) "nothing pending" None
-    (Option.map Simtime.to_ns (Engine.next_event_time e))
+  checkb "nothing pending" true
+    Simtime.(equal (Engine.next_event_time e) never)
 
 let test_advance_clock_monotone () =
   let e = Engine.create () in
@@ -223,7 +224,8 @@ let test_cluster_until_parks_clocks () =
   checki "only the in-limit event fired" 1 !fired;
   checki "shard 0 parked at the limit" 20_000 (Simtime.to_ns (Engine.now e0));
   checki "shard 1 parked at the limit" 20_000 (Simtime.to_ns (Engine.now e1));
-  checki "late event still pending" 1 (Engine.pending_events e1);
+  checki "late event still pending" 50_000
+    (Simtime.to_ns (Engine.next_event_time e1));
   (* A later run picks the remaining event up. *)
   Cluster.run cluster;
   checki "resumed past the limit" 2 !fired
