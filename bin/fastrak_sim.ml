@@ -50,7 +50,9 @@ let dcscale_racks = ref 16
 let fabric_chaos_racks = ref Experiments.Fabric_chaos.default_config.racks
 let soak_config = ref Experiments.Soak.default_config
 
-let run_one = function
+(* [faults] is the --faults spec, already validated; [None] leaves
+   each experiment's default schedule. *)
+let run_one ~faults = function
   | "fig3" ->
       Experiments.Microbench.print_points ~title:"Figure 3 (measured)"
         (Experiments.Microbench.run_fig3 ())
@@ -78,7 +80,9 @@ let run_one = function
       Experiments.Paper_ref.print_table4 ();
       Experiments.Fastrak_eval.print (Experiments.Fastrak_eval.run ())
   | "fig12" -> Experiments.Migration_tcp.print (Experiments.Migration_tcp.run ())
-  | "chaos" -> Experiments.Chaos_eval.print (Experiments.Chaos_eval.run ())
+  | "chaos" ->
+      Experiments.Chaos_eval.print
+        (Experiments.Chaos_eval.run ?schedule:faults ())
   | "dcscale" ->
       let config =
         { Experiments.Dcscale.default_config with racks = !dcscale_racks }
@@ -99,6 +103,9 @@ let run_one = function
         {
           Experiments.Fabric_chaos.default_config with
           racks = !fabric_chaos_racks;
+          schedule =
+            Option.value faults
+              ~default:Experiments.Fabric_chaos.default_config.schedule;
         }
       in
       Experiments.Fabric_chaos.print
@@ -216,8 +223,9 @@ let run_cmd =
       & opt (some int) None
       & info [ "racks" ] ~docv:"N"
           ~doc:
-            "Rack count for the $(b,dcscale) (1-84, default 16) and \
-             $(b,fabric-chaos) (2-84, default 4) experiments. Each rack \
+            "Rack count for the $(b,dcscale) (1-84, default 16), \
+             $(b,fabric-chaos) (2-78, default 4) and $(b,soak) (1-32, \
+             default 2) experiments. Each rack \
              is a full testbed on its own engine shard; rack 1 degenerates \
              to the classic single-engine loop.")
   in
@@ -354,16 +362,11 @@ let run_cmd =
                   Vswitch.Flow_cache.exact_capacity = n;
                   megaflow_capacity = Stdlib.max 16 (n / 4);
                 });
-          (match faults with
-          | None -> ()
-          | Some spec -> (
-              match Faults.Schedule.profile spec with
-              | Ok _ ->
-                  Experiments.Chaos_eval.schedule_spec := spec;
-                  Experiments.Fabric_chaos.schedule_spec := spec
-              | Error msg ->
-                  Printf.eprintf "fastrak_sim: --faults: %s\n" msg;
-                  Stdlib.exit 1));
+          (match Option.map Faults.Schedule.profile faults with
+          | Some (Error msg) ->
+              Printf.eprintf "fastrak_sim: --faults: %s\n" msg;
+              Stdlib.exit 1
+          | None | Some (Ok _) -> ());
           let open_out_or_die file =
             try open_out file
             with Sys_error msg ->
@@ -419,7 +422,8 @@ let run_cmd =
              List.iter
                (fun id ->
                  Obs.Slo.reset ();
-                 Experiments.Metric_snapshot.record ~id (fun () -> run_one id);
+                 Experiments.Metric_snapshot.record ~id (fun () ->
+                     run_one ~faults id);
                  if tenant_report then begin
                    print_newline ();
                    print_string (Obs.Slo.report ());

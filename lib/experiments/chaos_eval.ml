@@ -1,8 +1,6 @@
 module Simtime = Dcsim.Simtime
 module Fkey = Netcore.Fkey
 
-let schedule_spec = ref "lossy"
-
 type result = {
   schedule : string;
   run_seconds : float;
@@ -34,7 +32,7 @@ let pattern_set_equal a b =
   in
   subset a b && subset b a
 
-let run ?(schedule = !schedule_spec) ?(seconds = 4.0) ?(drain = 3.0) () =
+let run ?(schedule = "lossy") ?(seconds = 4.0) ?(drain = 3.0) () =
   let sched =
     match Faults.Schedule.profile schedule with
     | Ok s -> s

@@ -7,11 +7,6 @@
     offloaded matches the union of the servers' flow-placer views, and
     no directive is left unacknowledged. See [docs/FAULTS.md]. *)
 
-val schedule_spec : string ref
-(** Fault schedule used when {!run} gets no [?schedule] — a profile
-    name or [Faults.Schedule.of_string] spec (CLI [--faults]).
-    Default ["lossy"]. *)
-
 type result = {
   schedule : string;  (** Canonical rendering of the schedule run. *)
   run_seconds : float;
@@ -36,4 +31,7 @@ type result = {
 }
 
 val run : ?schedule:string -> ?seconds:float -> ?drain:float -> unit -> result
+(** [schedule] is a profile name or [Faults.Schedule.of_string] spec
+    (the CLI's [--faults]); default ["lossy"]. *)
+
 val print : result -> unit

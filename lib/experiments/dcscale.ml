@@ -2,8 +2,6 @@ module Engine = Dcsim.Engine
 module Simtime = Dcsim.Simtime
 module Cluster = Dcsim.Cluster
 module Channel = Fabric.Channel
-module Core_switch = Fabric.Core_switch
-module Fkey = Netcore.Fkey
 module Stream = Workloads.Stream
 
 type config = {
@@ -31,23 +29,11 @@ let default_config =
     seed = 42;
   }
 
-(* Rack <-> core propagation delay: the cluster lookahead, i.e. the
-   lockstep window length. The control-plane channels ride a slower
-   management network and never lower the bound. *)
-let fabric_hop = Simtime.span_us 2.0
+(* The control-plane channels ride a slower management network than
+   the rack <-> core fabric and never lower the cluster lookahead. *)
 let control_hop = Simtime.span_us 20.0
 let express_port = 7000
 let soft_port = 7100
-
-type rack = {
-  tb : Testbed.t;
-  rack_engine : Engine.t;
-  rm : Fastrak.Rule_manager.t;
-  xs : Host.Server.attached;  (* express-lane sender VM *)
-  xr : Host.Server.attached;  (* express-lane receiver VM *)
-  sw : Host.Server.attached;  (* software-path sender VM *)
-  uplink : Netcore.Packet.t Channel.t;
-}
 
 type result = {
   cfg : config;
@@ -66,83 +52,20 @@ type result = {
   events_per_sec : float;
 }
 
-(* Statically pin the a -> b direction of an express lane: GRE tunnel
-   mapping in a's policy, the compiled most-specific rule in both the
-   source ToR VRF (transmit: permits + tunnel_for) and the destination
-   ToR VRF (receive: handle_gre_rx re-checks permits), the flow-placer
-   rule steering a's traffic for b onto the VF, and b's address on the
-   destination ToR pointed at the SR-IOV port. *)
-let pin_direction ~src_tb ~dst_tb (a : Host.Server.attached)
-    (b : Host.Server.attached) =
-  let tenant = Host.Vm.tenant a.vm in
-  let ip_a = Host.Vm.ip a.vm and ip_b = Host.Vm.ip b.vm in
-  let dst_server =
-    match Testbed.server_of_vm dst_tb ip_b with
-    | Some s -> s
-    | None -> invalid_arg "Dcscale.pin_direction: destination VM not placed"
-  in
-  let policy = Vswitch.Ovs.vif_policy a.vif in
-  Rules.Policy.install_tunnel policy
-    (Rules.Tunnel_rule.make ~tenant ~vm_ip:ip_b
-       {
-         Rules.Tunnel_rule.server_ip = Host.Server.ip dst_server;
-         tor_ip = Tor.Tor_switch.ip dst_tb.Testbed.tor;
-       });
-  let selection =
-    { (Fkey.Pattern.from_vm ip_a tenant) with Fkey.Pattern.dst_ip = Some ip_b }
-  in
-  (match
-     Rules.Rule_compiler.compile ~policy ~selection ~destinations:[ ip_b ]
-   with
-  | Error e ->
-      invalid_arg
-        (Format.asprintf "Dcscale.pin_direction: %a" Rules.Rule_compiler.pp_error
-           e)
-  | Ok compiled ->
-      let install tor =
-        let vrf = Tor.Tor_switch.vrf tor tenant in
-        match Tor.Vrf.install vrf compiled with
-        | Ok _ -> ()
-        | Error (`Tcam_full | `Install_fault) ->
-            invalid_arg "Dcscale.pin_direction: TCAM full"
-      in
-      install src_tb.Testbed.tor;
-      if dst_tb.Testbed.tor != src_tb.Testbed.tor then install dst_tb.Testbed.tor);
-  ignore
-    (Host.Bonding.install_rule a.bonding ~pattern:selection ~priority:2
-       Host.Bonding.Vf);
-  Tor.Tor_switch.register_vm dst_tb.Testbed.tor ~tenant ~vm_ip:ip_b
-    ~server_ip:(Host.Server.ip dst_server) ~port:`Sriov ()
+(* Per-rack VMs: express-lane sender and receiver, software-path
+   sender. *)
+let xs (rk : Datacenter.rack) = rk.vms.(0)
+let xr (rk : Datacenter.rack) = rk.vms.(1)
+let sw (rk : Datacenter.rack) = rk.vms.(2)
 
 let run ?(config = default_config) () =
   let cfg = config in
-  if cfg.racks < 1 || cfg.racks > 84 then
-    invalid_arg "Dcscale.run: racks must be in 1..84";
-  if cfg.servers_per_rack < 1 then
-    invalid_arg "Dcscale.run: need at least one server per rack";
-  (* Shard layout: one engine per rack plus one for the aggregation
-     core when sharded; with one rack (or unsharded) everything shares
-     a single engine and the cluster degenerates to the plain loop. *)
-  let shared_engine =
-    if cfg.sharded then None else Some (Engine.create ~seed:cfg.seed ())
+  let dc =
+    Datacenter.create ~sharded:cfg.sharded ~seed:cfg.seed ~racks:cfg.racks
+      ~servers_per_rack:cfg.servers_per_rack ~name_prefix:"r"
+      ~vms:[| "xs"; "xr"; "sw" |] ~first_octet:1 ~rack_stride:3 ()
   in
-  let mk_engine i =
-    match shared_engine with
-    | Some e -> e
-    | None -> Engine.create ~seed:(cfg.seed + i) ()
-  in
-  let rack_engines = Array.init cfg.racks mk_engine in
-  let core_engine =
-    if cfg.sharded && cfg.racks > 1 then mk_engine (cfg.racks + 1)
-    else rack_engines.(0)
-  in
-  let shards =
-    if cfg.sharded && cfg.racks > 1 then
-      Array.append rack_engines [| core_engine |]
-    else [| rack_engines.(0) |]
-  in
-  let cluster = Cluster.create ~shards in
-  let core = Core_switch.create ~engine:core_engine () in
+  let cluster = dc.cluster and racks = dc.racks in
   let rm_config =
     {
       Fastrak.Config.default with
@@ -150,80 +73,23 @@ let run ?(config = default_config) () =
       poll_gap = Simtime.span_sec 0.02;
     }
   in
-  let racks =
-    Array.init cfg.racks (fun r ->
-        let rack_engine = rack_engines.(r) in
-        let tb =
-          Testbed.create ~engine:rack_engine
-            ~server_count:cfg.servers_per_rack ~rack:r
-            ~name_prefix:(Printf.sprintf "r%d." r)
-            ()
-        in
-        let vm k kind =
-          Testbed.vm_spec
-            ~server:(k mod cfg.servers_per_rack)
-            ~name:(Printf.sprintf "r%d.%s" r kind)
-            ~ip_last_octet:((r * 3) + k + 1)
-            ()
-        in
-        let xs = Testbed.add_vm tb (vm 0 "xs") in
-        let xr = Testbed.add_vm tb (vm 1 "xr") in
-        let sw = Testbed.add_vm tb (vm 2 "sw") in
-        Testbed.connect_tunnels tb;
-        let uplink =
-          Channel.create ~cluster
-            ~name:(Printf.sprintf "r%d.up" r)
-            ~src:rack_engine ~dst:core_engine ~latency:fabric_hop
-            ~handler:(fun pkt -> Core_switch.receive core pkt)
-            ()
-        in
-        let downlink =
-          Channel.create ~cluster
-            ~name:(Printf.sprintf "r%d.down" r)
-            ~src:core_engine ~dst:rack_engine ~latency:fabric_hop
-            ~handler:(fun pkt -> Tor.Tor_switch.receive tb.Testbed.tor pkt)
-            ()
-        in
-        Core_switch.attach_rack core
-          ~tor_ip:(Tor.Tor_switch.ip tb.Testbed.tor)
-          ~downlink ();
-        Array.iter
-          (fun s ->
-            Core_switch.register_server core ~server_ip:(Host.Server.ip s)
-              ~tor_ip:(Tor.Tor_switch.ip tb.Testbed.tor))
-          tb.Testbed.servers;
-        let rm =
-          Fastrak.Rule_manager.create ~engine:rack_engine ~config:rm_config
-            ~tor:tb.Testbed.tor
-            ~servers:(Array.to_list tb.Testbed.servers)
-            ()
-        in
-        { tb; rack_engine; rm; xs; xr; sw; uplink })
+  let rms =
+    Array.map
+      (fun (rk : Datacenter.rack) ->
+        Fastrak.Rule_manager.create ~engine:rk.tb.Testbed.engine
+          ~config:rm_config ~tor:rk.tb.Testbed.tor
+          ~servers:(Array.to_list rk.tb.Testbed.servers)
+          ())
+      racks
   in
-  (* Each Testbed.create pointed the trace clock at its own engine;
-     with several shards the cluster clock is the only correct one. *)
-  Obs.Trace.set_clock (fun () -> Cluster.now cluster);
-  (* Inter-ToR reachability: every remote ToR is reached through this
-     rack's uplink to the core, which routes on the outer GRE header. *)
-  Array.iter
-    (fun rk ->
-      Array.iter
-        (fun rk' ->
-          if rk != rk' then
-            Tor.Tor_switch.add_peer rk.tb.Testbed.tor
-              (Tor.Tor_switch.ip rk'.tb.Testbed.tor)
-              (fun pkt -> Channel.send rk.uplink pkt))
-        racks)
-    racks;
-  Array.iter (fun rk -> Fastrak.Rule_manager.start rk.rm) racks;
+  Array.iter Fastrak.Rule_manager.start rms;
   (* Express lanes: rack r's sender streams to rack (r+1)'s receiver
      over the pinned hardware path, acks riding the reverse lane. *)
   let express =
     Array.init cfg.racks (fun r ->
         let src = racks.(r) and dst = racks.((r + 1) mod cfg.racks) in
-        let a = src.xs and b = dst.xr in
-        pin_direction ~src_tb:src.tb ~dst_tb:dst.tb a b;
-        pin_direction ~src_tb:dst.tb ~dst_tb:src.tb b a;
+        let a = xs src and b = xr dst in
+        Datacenter.pin_lane ~src ~dst a b;
         Stream.install_sink ~vm:b.Host.Server.vm ~port:express_port ();
         let sc =
           {
@@ -234,7 +100,7 @@ let run ?(config = default_config) () =
             total_bytes = Some (cfg.express_messages * cfg.message_size);
           }
         in
-        Stream.start ~engine:src.rack_engine ~vm:a.Host.Server.vm sc)
+        Stream.start ~engine:src.tb.Testbed.engine ~vm:a.Host.Server.vm sc)
   in
   (* Rack-local software-path traffic keeps each shard's vswitches and
      local controllers busy (and gives the migrating VM a demand
@@ -242,17 +108,18 @@ let run ?(config = default_config) () =
   let soft =
     Array.map
       (fun rk ->
-        Stream.install_sink ~vm:rk.xr.Host.Server.vm ~port:soft_port ();
+        let dst_vm = (xr rk).Host.Server.vm in
+        Stream.install_sink ~vm:dst_vm ~port:soft_port ();
         let sc =
           {
-            (Stream.default_config ~dst_ip:(Host.Vm.ip rk.xr.Host.Server.vm)) with
+            (Stream.default_config ~dst_ip:(Host.Vm.ip dst_vm)) with
             Stream.dst_port = soft_port;
             src_port = 6500;
             message_size = cfg.message_size;
             total_bytes = Some (cfg.soft_messages * cfg.message_size);
           }
         in
-        Stream.start ~engine:rk.rack_engine ~vm:rk.sw.Host.Server.vm sc)
+        Stream.start ~engine:rk.tb.Testbed.engine ~vm:(sw rk).Host.Server.vm sc)
       racks
   in
   (* Inter-rack VM migration through the two-phase protocol: prepare at
@@ -261,38 +128,39 @@ let run ?(config = default_config) () =
      comes back. The prepare timeout still guards a lost ack. *)
   let mg_ref = ref None in
   if cfg.migrate && cfg.racks > 1 then begin
-    let src = racks.(0) and dst = racks.(1) in
-    let mig_vm_ip = Host.Vm.ip src.sw.Host.Server.vm in
-    let tenant = Host.Vm.tenant src.sw.Host.Server.vm in
-    let dst_server = Host.Server.name dst.tb.Testbed.servers.(0) in
+    let src = racks.(0).tb and dst = racks.(1).tb in
+    let mig_vm = (sw racks.(0)).Host.Server.vm in
+    let mig_vm_ip = Host.Vm.ip mig_vm and tenant = Host.Vm.tenant mig_vm in
+    let dst_server = Host.Server.name dst.Testbed.servers.(0) in
     let ack =
-      Channel.create ~cluster ~name:"mig.ack" ~src:dst.rack_engine
-        ~dst:src.rack_engine ~latency:control_hop
+      Channel.create ~cluster ~name:"mig.ack" ~src:dst.Testbed.engine
+        ~dst:src.Testbed.engine ~latency:control_hop
         ~handler:(fun () ->
           match !mg_ref with
           | Some mg ->
-              ignore (Fastrak.Rule_manager.commit_vm_migration_remote src.rm mg)
+              ignore
+                (Fastrak.Rule_manager.commit_vm_migration_remote rms.(0) mg)
           | None -> ())
         ()
     in
     let profile_chan =
-      Channel.create ~cluster ~name:"mig.profile" ~src:src.rack_engine
-        ~dst:dst.rack_engine ~latency:control_hop
+      Channel.create ~cluster ~name:"mig.profile" ~src:src.Testbed.engine
+        ~dst:dst.Testbed.engine ~latency:control_hop
         ~handler:(fun (vm_ip, profile) ->
           (match profile with
           | Some p ->
-              Fastrak.Rule_manager.adopt_vm_profile dst.rm ~server:dst_server
+              Fastrak.Rule_manager.adopt_vm_profile rms.(1) ~server:dst_server
                 ~vm_ip ~profile:p
           | None -> ());
           Channel.send ack ())
         ()
     in
     ignore
-      (Engine.at src.rack_engine
+      (Engine.at src.Testbed.engine
          (Simtime.of_sec (cfg.duration /. 2.0))
          (fun () ->
            let mg =
-             Fastrak.Rule_manager.begin_vm_migration src.rm ~tenant
+             Fastrak.Rule_manager.begin_vm_migration rms.(0) ~tenant
                ~vm_ip:mig_vm_ip
            in
            mg_ref := Some mg;
@@ -303,7 +171,11 @@ let run ?(config = default_config) () =
   Cluster.run ~until:(Simtime.of_sec cfg.duration) cluster;
   let cpu_s = Sys.time () -. t0 in
   let events = Cluster.events_processed cluster in
-  let sum f = Array.fold_left (fun acc rk -> acc + f rk) 0 racks in
+  let sum_tors f =
+    Array.fold_left
+      (fun acc (rk : Datacenter.rack) -> acc + f rk.tb.Testbed.tor)
+      0 racks
+  in
   {
     cfg;
     shard_count = Cluster.shard_count cluster;
@@ -316,10 +188,10 @@ let run ?(config = default_config) () =
     express_bytes =
       Array.fold_left (fun acc s -> acc + Stream.bytes_acked s) 0 express;
     soft_bytes = Array.fold_left (fun acc s -> acc + Stream.bytes_acked s) 0 soft;
-    core_routed = Core_switch.packets_routed core;
-    core_dropped = Core_switch.packets_dropped core;
-    tor_no_route_drops = sum (fun rk -> Tor.Tor_switch.no_route_drops rk.tb.Testbed.tor);
-    acl_drops = sum (fun rk -> Tor.Tor_switch.acl_drops rk.tb.Testbed.tor);
+    core_routed = Fabric.Core_switch.packets_routed dc.core;
+    core_dropped = Fabric.Core_switch.packets_dropped dc.core;
+    tor_no_route_drops = sum_tors Tor.Tor_switch.no_route_drops;
+    acl_drops = sum_tors Tor.Tor_switch.acl_drops;
     migration_outcome =
       (if not (cfg.migrate && cfg.racks > 1) then "skipped"
        else

@@ -1,15 +1,17 @@
 (** Multi-rack datacenter scale-out on the sharded engine.
 
-    Builds [racks] copies of the §5.1 testbed rack, each on its own
-    {!Dcsim.Engine} shard, joined by an aggregation core on a further
-    shard; all rack <-> core traffic and the migration control messages
-    ride latency-bearing [Fabric.Channel]s, and the whole datacenter
-    advances under the {!Dcsim.Cluster} conservative-lookahead
-    scheduler (see [docs/ENGINE.md]).
+    Builds [racks] copies of the §5.1 testbed rack with
+    {!Datacenter.create}, each on its own {!Dcsim.Engine} shard, joined
+    by an aggregation core on a further shard; all rack <-> core traffic
+    and the migration control messages ride latency-bearing
+    [Fabric.Channel]s, and the whole datacenter advances under the
+    {!Dcsim.Cluster} conservative-lookahead scheduler (see
+    [docs/ENGINE.md]). What is particular to this experiment is its
+    traffic and its migration channels.
 
     The workload exercises all three planes: a ring of cross-rack
     express lanes (rack r's sender VM streams to rack r+1's receiver
-    over statically pinned SR-IOV/ToR/GRE hardware paths, through the
+    over hardware paths pinned with {!Datacenter.pin_lane}, through the
     core), rack-local software-path streams through each vswitch, and —
     halfway through — an inter-rack VM migration through the two-phase
     protocol, shipping the detached demand profile to the destination
@@ -21,7 +23,9 @@
     engine tests assert. *)
 
 type config = {
-  racks : int;  (** Racks, 1–84 (bounded by the address plan). *)
+  racks : int;
+      (** Racks, 1–85 (VM addresses 10.7.0.[3r+1..3r+3]; the CLI's
+          [--racks] stops at 84). *)
   servers_per_rack : int;
   duration : float;  (** Simulated seconds. *)
   sharded : bool;  (** One engine per rack + core, or one engine total. *)
@@ -55,24 +59,10 @@ type result = {
   events_per_sec : float;  (** [events / cpu_s]. *)
 }
 
-val pin_direction :
-  src_tb:Testbed.t ->
-  dst_tb:Testbed.t ->
-  Host.Server.attached ->
-  Host.Server.attached ->
-  unit
-(** Statically pin the a -> b direction of a cross-rack express lane:
-    GRE tunnel mapping in a's policy, the compiled most-specific rule
-    in both ToR VRFs, the flow-placer rule steering a's traffic for b
-    onto the VF, and b's address on the destination ToR pointed at the
-    SR-IOV port. Shared with {!Soak}, which pins the same lanes under
-    production-shaped load.
-    @raise Invalid_argument if b is not placed in [dst_tb] or a TCAM
-    fills. *)
-
 val run : ?config:config -> unit -> result
 (** Build the datacenter and run it for [duration] simulated seconds.
-    @raise Invalid_argument on a config outside the address plan. *)
+    @raise Invalid_argument on a config outside the address plan (see
+    {!Datacenter.create}). *)
 
 val print : result -> unit
 (** One run's summary. *)

@@ -2,11 +2,8 @@ module Engine = Dcsim.Engine
 module Simtime = Dcsim.Simtime
 module Cluster = Dcsim.Cluster
 module Channel = Fabric.Channel
-module Core_switch = Fabric.Core_switch
 module Fkey = Netcore.Fkey
 module Stream = Workloads.Stream
-
-let schedule_spec = ref "fabric"
 
 type config = {
   racks : int;
@@ -17,6 +14,7 @@ type config = {
   message_size : int;
   crash_at : float;
   restart_at : float;
+  schedule : string;
   seed : int;
 }
 
@@ -30,34 +28,11 @@ let default_config =
     message_size = 4096;
     crash_at = 2.0;
     restart_at = 2.3;
+    schedule = "fabric";
     seed = 42;
   }
 
-let fabric_hop = Simtime.span_us 2.0
 let express_port = 7200
-
-type rack = {
-  tb : Testbed.t;
-  rack_engine : Engine.t;
-  mutable rm : Fastrak.Rule_manager.t option;
-  xs : Host.Server.attached;  (* sender VM: streams to the next rack *)
-  xr : Host.Server.attached;  (* receiver VM: sink for the previous rack *)
-  express_up : Netcore.Packet.t Channel.t;  (* GRE/peer uplink, fault-injected *)
-  soft_up : Netcore.Packet.t Channel.t;  (* VXLAN default uplink, reliable *)
-  statics : static_pin list ref;
-      (* receive-side VRF permits this experiment provisioned *)
-}
-
-(* A statically provisioned receive-side VRF permit (the destination
-   ToR's half of an express lane). It is not TOR-controller intent, so
-   the anti-entropy audit never touches it; the experiment plays the
-   provisioning system instead and re-installs it if a TCAM soft error
-   evicts it. *)
-and static_pin = {
-  sp_vrf : Tor.Vrf.t;
-  sp_compiled : Rules.Rule_compiler.compiled;
-  mutable sp_handle : Tor.Vrf.handle;
-}
 
 type result = {
   cfg : config;
@@ -93,49 +68,6 @@ type result = {
   reconciled : bool;
 }
 
-(* Provision the receive side of the a -> b express direction: the GRE
-   tunnel mapping in a's policy (also used by the software/VXLAN
-   fallback), the compiled permit in b's ToR VRF so handle_gre_rx
-   accepts a's hardware-path packets, and b's address on its ToR
-   pointed at the SR-IOV port. The transmit side is deliberately NOT
-   pinned — promoting a's flows onto the lane (and demoting them off a
-   dead one) is the TOR controller's job. *)
-let provision_receive ~src_tb:_ ~dst_tb ~statics (a : Host.Server.attached)
-    (b : Host.Server.attached) =
-  let tenant = Host.Vm.tenant a.vm in
-  let ip_a = Host.Vm.ip a.vm and ip_b = Host.Vm.ip b.vm in
-  let dst_server =
-    match Testbed.server_of_vm dst_tb ip_b with
-    | Some s -> s
-    | None -> invalid_arg "Fabric_chaos.provision_receive: VM not placed"
-  in
-  let policy = Vswitch.Ovs.vif_policy a.vif in
-  Rules.Policy.install_tunnel policy
-    (Rules.Tunnel_rule.make ~tenant ~vm_ip:ip_b
-       {
-         Rules.Tunnel_rule.server_ip = Host.Server.ip dst_server;
-         tor_ip = Tor.Tor_switch.ip dst_tb.Testbed.tor;
-       });
-  let selection =
-    { (Fkey.Pattern.from_vm ip_a tenant) with Fkey.Pattern.dst_ip = Some ip_b }
-  in
-  (match
-     Rules.Rule_compiler.compile ~policy ~selection ~destinations:[ ip_b ]
-   with
-  | Error e ->
-      invalid_arg
-        (Format.asprintf "Fabric_chaos.provision_receive: %a"
-           Rules.Rule_compiler.pp_error e)
-  | Ok compiled -> (
-      let vrf = Tor.Tor_switch.vrf dst_tb.Testbed.tor tenant in
-      match Tor.Vrf.install vrf compiled with
-      | Ok h ->
-          statics := { sp_vrf = vrf; sp_compiled = compiled; sp_handle = h } :: !statics
-      | Error (`Tcam_full | `Install_fault) ->
-          invalid_arg "Fabric_chaos.provision_receive: install refused"));
-  Tor.Tor_switch.register_vm dst_tb.Testbed.tor ~tenant ~vm_ip:ip_b
-    ~server_ip:(Host.Server.ip dst_server) ~port:`Sriov ()
-
 let pattern_set_equal a b =
   let subset xs ys =
     List.for_all (fun x -> List.exists (Fkey.Pattern.equal x) ys) xs
@@ -165,19 +97,17 @@ let summary_delta before name =
 
 let run ?(config = default_config) () =
   let cfg = config in
-  if cfg.racks < 2 || cfg.racks > 84 then
-    invalid_arg "Fabric_chaos.run: racks must be in 2..84";
-  if cfg.servers_per_rack < 1 then
-    invalid_arg "Fabric_chaos.run: need at least one server per rack";
+  if cfg.racks < 2 then
+    invalid_arg "Fabric_chaos.run: racks must be at least 2";
   let sched =
-    match Faults.Schedule.profile !schedule_spec with
+    match Faults.Schedule.profile cfg.schedule with
     | Ok s -> s
     | Error msg -> invalid_arg ("fabric-chaos: bad fault schedule: " ^ msg)
   in
   (* The schedule's channel dimensions hit the express uplinks only;
      its TCAM dimensions go to each rack's rule manager. The control
-     channels and the VXLAN fallback uplink stay reliable — this PR's
-     failure domain is the data-plane express path. *)
+     channels and the VXLAN fallback uplink stay reliable — this
+     experiment's failure domain is the data-plane express path. *)
   let tcam_sched =
     {
       Faults.Schedule.none with
@@ -186,14 +116,67 @@ let run ?(config = default_config) () =
     }
   in
   let before = Obs.Metrics.snapshot () in
-  let rack_engines =
-    Array.init cfg.racks (fun i -> Engine.create ~seed:(cfg.seed + i) ())
+  (* Tunneling on: the software path must VXLAN-encapsulate so demoted
+     cross-rack flows can route over the core by outer server address —
+     it is the failover path under test. Each rack has a sender VM
+     streaming to the next rack and a receiver VM for the previous one. *)
+  let dc =
+    Datacenter.create ~config:Compute.Cost_params.with_tunneling ~seed:cfg.seed
+      ~racks:cfg.racks ~servers_per_rack:cfg.servers_per_rack ~name_prefix:"fc"
+      ~vms:[| "xs"; "xr" |] ~first_octet:100 ~rack_stride:2 ()
   in
-  let core_engine = Engine.create ~seed:(cfg.seed + cfg.racks + 1) () in
-  let cluster =
-    Cluster.create ~shards:(Array.append rack_engines [| core_engine |])
+  let racks = dc.racks in
+  let xs r = racks.(r).vms.(0) and xr r = racks.(r).vms.(1) in
+  let engine r = racks.(r).tb.Testbed.engine in
+  let tor r = racks.(r).tb.Testbed.tor in
+  (* The builder's reliable uplink carries the VXLAN software-path
+     fallback, so a lane outage leaves demoted flows a working route.
+     GRE traffic towards peer ToRs moves to an express uplink with the
+     schedule's drop/dup/reorder/jitter/down-window faults. *)
+  Array.iteri
+    (fun r (rk : Datacenter.rack) ->
+      let express_up =
+        Channel.create ~cluster:dc.cluster ~copy:Netcore.Packet.copy
+          ?faults:
+            (if Faults.Schedule.has_channel_faults sched then
+               Some
+                 (Faults.Injector.create ~schedule:sched
+                    ~rng:
+                      (Dcsim.Rng.split (Engine.rng (engine r))
+                         (Printf.sprintf "faults.fabric.r%d" r)))
+             else None)
+          ~name:(Printf.sprintf "fc%d.express" r)
+          ~src:(engine r) ~dst:dc.core_engine ~latency:Datacenter.fabric_hop
+          ~handler:(Fabric.Core_switch.receive dc.core)
+          ()
+      in
+      Tor.Tor_switch.set_uplink (tor r) (Channel.send rk.uplink);
+      Array.iteri
+        (fun d _ ->
+          if d <> r then
+            Tor.Tor_switch.add_peer (tor r) (Tor.Tor_switch.ip (tor d))
+              (Channel.send express_up))
+        racks)
+    racks;
+  (* Receive-side provisioning for both directions of each lane (data
+     r -> r+1, acks r+1 -> r), before any install-fault hook arms. The
+     transmit side is deliberately NOT pinned — promoting the sender's
+     flows onto the lane (and demoting them off a dead one) is the TOR
+     controller's job. These permits are not TOR-controller intent, so
+     the anti-entropy audit never touches them; the experiment plays
+     the provisioning system instead and re-installs one if a TCAM soft
+     error evicts it. *)
+  let statics = Array.make cfg.racks [] in
+  let provision ~dst a b =
+    let permit = Datacenter.receive ~dst:racks.(dst) a b in
+    statics.(dst) <- ref permit :: statics.(dst)
   in
-  let core = Core_switch.create ~engine:core_engine () in
+  for r = 0 to cfg.racks - 1 do
+    let next = (r + 1) mod cfg.racks in
+    provision ~dst:next (xs r) (xr next);
+    provision ~dst:r (xr next) (xs r)
+  done;
+  (* Control plane per rack; the TCAM failure modes arm here. *)
   let rm_config =
     {
       Fastrak.Config.default with
@@ -202,140 +185,43 @@ let run ?(config = default_config) () =
       tcam_audit_interval = Some (Simtime.span_ms 250.0);
     }
   in
-  let racks =
+  let rms =
     Array.init cfg.racks (fun r ->
-        let rack_engine = rack_engines.(r) in
-        (* Tunneling on: the software path must VXLAN-encapsulate so
-           demoted cross-rack flows can route over the core by outer
-           server address — it is the failover path under test. *)
-        let tb =
-          Testbed.create ~engine:rack_engine
-            ~config:Compute.Cost_params.with_tunneling
-            ~server_count:cfg.servers_per_rack ~rack:r
-            ~name_prefix:(Printf.sprintf "fc%d." r)
-            ()
-        in
-        let vm k kind =
-          Testbed.vm_spec
-            ~server:(k mod cfg.servers_per_rack)
-            ~name:(Printf.sprintf "fc%d.%s" r kind)
-            ~ip_last_octet:(100 + (r * 2) + k)
-            ()
-        in
-        let xs = Testbed.add_vm tb (vm 0 "xs") in
-        let xr = Testbed.add_vm tb (vm 1 "xr") in
-        Testbed.connect_tunnels tb;
-        (* Express uplink: GRE towards peer ToRs, with the schedule's
-           drop/dup/reorder/jitter/down-window faults. *)
-        let express_up =
-          Channel.create ~cluster ~copy:Netcore.Packet.copy
-            ?faults:
-              (if Faults.Schedule.has_channel_faults sched then
-                 Some
-                   (Faults.Injector.create ~schedule:sched
-                      ~rng:
-                        (Dcsim.Rng.split (Engine.rng rack_engine)
-                           (Printf.sprintf "faults.fabric.r%d" r)))
-               else None)
-            ~name:(Printf.sprintf "fc%d.express" r)
-            ~src:rack_engine ~dst:core_engine ~latency:fabric_hop
-            ~handler:(fun pkt -> Core_switch.receive core pkt)
-            ()
-        in
-        (* Reliable uplink: the VXLAN software-path fallback. A lane
-           outage must leave demoted flows a working route. *)
-        let soft_up =
-          Channel.create ~cluster
-            ~name:(Printf.sprintf "fc%d.soft" r)
-            ~src:rack_engine ~dst:core_engine ~latency:fabric_hop
-            ~handler:(fun pkt -> Core_switch.receive core pkt)
-            ()
-        in
-        let downlink =
-          Channel.create ~cluster
-            ~name:(Printf.sprintf "fc%d.down" r)
-            ~src:core_engine ~dst:rack_engine ~latency:fabric_hop
-            ~handler:(fun pkt -> Tor.Tor_switch.receive tb.Testbed.tor pkt)
-            ()
-        in
-        Core_switch.attach_rack core
-          ~tor_ip:(Tor.Tor_switch.ip tb.Testbed.tor)
-          ~downlink ();
-        Array.iter
-          (fun s ->
-            Core_switch.register_server core ~server_ip:(Host.Server.ip s)
-              ~tor_ip:(Tor.Tor_switch.ip tb.Testbed.tor))
-          tb.Testbed.servers;
-        Tor.Tor_switch.set_uplink tb.Testbed.tor (fun pkt ->
-            Channel.send soft_up pkt);
-        { tb; rack_engine; rm = None; xs; xr; express_up; soft_up; statics = ref [] })
-  in
-  Obs.Trace.set_clock (fun () -> Cluster.now cluster);
-  Array.iter
-    (fun rk ->
-      Array.iter
-        (fun rk' ->
-          if rk != rk' then
-            Tor.Tor_switch.add_peer rk.tb.Testbed.tor
-              (Tor.Tor_switch.ip rk'.tb.Testbed.tor)
-              (fun pkt -> Channel.send rk.express_up pkt))
-        racks)
-    racks;
-  (* Receive-side provisioning for both directions of each lane (data
-     r -> r+1, acks r+1 -> r), before any install-fault hook arms. *)
-  Array.iteri
-    (fun r src ->
-      let dst = racks.((r + 1) mod cfg.racks) in
-      provision_receive ~src_tb:src.tb ~dst_tb:dst.tb ~statics:dst.statics
-        src.xs dst.xr;
-      provision_receive ~src_tb:dst.tb ~dst_tb:src.tb ~statics:src.statics
-        dst.xr src.xs)
-    racks;
-  (* Control plane per rack; the TCAM failure modes arm here. *)
-  Array.iter
-    (fun rk ->
-      rk.rm <-
-        Some
-          (Fastrak.Rule_manager.create ~engine:rk.rack_engine ~config:rm_config
-             ~tor:rk.tb.Testbed.tor
-             ~servers:(Array.to_list rk.tb.Testbed.servers)
-             ?faults:
-               (if Faults.Schedule.has_tcam_faults tcam_sched then
-                  Some tcam_sched
-                else None)
-             ()))
-    racks;
-  let rm rk =
-    match rk.rm with Some rm -> rm | None -> assert false
+        Fastrak.Rule_manager.create ~engine:(engine r) ~config:rm_config
+          ~tor:(tor r)
+          ~servers:(Array.to_list racks.(r).tb.Testbed.servers)
+          ?faults:
+            (if Faults.Schedule.has_tcam_faults tcam_sched then Some tcam_sched
+             else None)
+          ())
   in
   (* The provisioning system's own anti-entropy: re-install any static
      receive-side permit a soft error evicted. Offset from the 100 ms
      soft-error sweep so a repair is visible before the next scan. *)
   let static_reinstalls = ref 0 in
-  Array.iter
-    (fun rk ->
-      let period = Simtime.span_ms 250.0 in
-      Engine.every rk.rack_engine
-        ~start:(Simtime.add (Engine.now rk.rack_engine) (Simtime.span_ms 125.0))
-        period
+  Array.iteri
+    (fun r pins ->
+      Engine.every (engine r)
+        ~start:(Simtime.add (Engine.now (engine r)) (Simtime.span_ms 125.0))
+        (Simtime.span_ms 250.0)
         (fun () ->
           List.iter
-            (fun sp ->
-              if not (Tor.Vrf.is_live sp.sp_vrf sp.sp_handle) then
-                match Tor.Vrf.install sp.sp_vrf sp.sp_compiled with
-                | Ok h ->
-                    sp.sp_handle <- h;
+            (fun pin ->
+              let p = !pin in
+              if not (Tor.Vrf.is_live p.Datacenter.vrf p.handle) then
+                match Tor.Vrf.install p.vrf p.rule with
+                | Ok handle ->
+                    pin := { p with handle };
                     incr static_reinstalls
                 | Error (`Tcam_full | `Install_fault) -> ())
-            !(rk.statics);
+            pins;
           `Continue))
-    racks;
+    statics;
   (* Express lanes: rack r probes its data lane to r+1 and (when
      distinct) the reverse lane to r-1 that carries its inbound acks. *)
   let lane_names = ref [] in
-  let vm_ips rk = [ Host.Vm.ip rk.xs.Host.Server.vm; Host.Vm.ip rk.xr.Host.Server.vm ] in
   Array.iteri
-    (fun r rk ->
+    (fun r rm ->
       let neighbors =
         let next = (r + 1) mod cfg.racks in
         let prev = (r + cfg.racks - 1) mod cfg.racks in
@@ -343,27 +229,27 @@ let run ?(config = default_config) () =
       in
       List.iter
         (fun d ->
-          let dst = racks.(d) in
-          let ips = vm_ips dst in
+          let vm_ip (v : Host.Server.attached) = Host.Vm.ip v.vm in
+          let ips = [ vm_ip (xs d); vm_ip (xr d) ] in
           let name = Printf.sprintf "fc%d->fc%d" r d in
           Fastrak.Tor_controller.add_lane
-            (Fastrak.Rule_manager.tor_controller (rm rk))
+            (Fastrak.Rule_manager.tor_controller rm)
             ~name
-            ~remote_tor:(Tor.Tor_switch.ip dst.tb.Testbed.tor)
+            ~remote_tor:(Tor.Tor_switch.ip (tor d))
             ~covers:(fun ip -> List.exists (Netcore.Ipv4.equal ip) ips);
-          lane_names := (rk, name) :: !lane_names)
+          lane_names := (rm, name) :: !lane_names)
         neighbors)
-    racks;
-  Array.iter (fun rk -> Fastrak.Rule_manager.start (rm rk)) racks;
+    rms;
+  Array.iter Fastrak.Rule_manager.start rms;
   (* Open-loop paced streams keep offering load right through the
      outage — exactly what the no-blackhole monitor needs to judge. *)
   let streams =
     Array.init cfg.racks (fun r ->
-        let src = racks.(r) and dst = racks.((r + 1) mod cfg.racks) in
-        Stream.install_sink ~vm:dst.xr.Host.Server.vm ~port:express_port ();
+        let dst = (xr ((r + 1) mod cfg.racks)).Host.Server.vm in
+        Stream.install_sink ~vm:dst ~port:express_port ();
         let sc =
           {
-            (Stream.default_config ~dst_ip:(Host.Vm.ip dst.xr.Host.Server.vm)) with
+            (Stream.default_config ~dst_ip:(Host.Vm.ip dst)) with
             Stream.dst_port = express_port;
             src_port = 6200 + r;
             message_size = cfg.message_size;
@@ -372,7 +258,7 @@ let run ?(config = default_config) () =
             paced_rate_bps = Some cfg.rate_bps;
           }
         in
-        Stream.start ~engine:src.rack_engine ~vm:src.xs.Host.Server.vm sc)
+        Stream.start ~engine:(engine r) ~vm:(xs r).Host.Server.vm sc)
   in
   (* Scripted local-controller crash on rack 0's sender server: the
      process dies mid-run and later restarts from its snapshot,
@@ -384,17 +270,17 @@ let run ?(config = default_config) () =
     cfg.crash_at > 0.0 && cfg.crash_at < cfg.duration
   in
   let crash_lc =
-    let rk = racks.(0) in
-    match Testbed.server_of_vm rk.tb (Host.Vm.ip rk.xs.Host.Server.vm) with
+    let sender_ip = Host.Vm.ip (xs 0).Host.Server.vm in
+    match Testbed.server_of_vm racks.(0).tb sender_ip with
     | None -> None
     | Some server ->
-        Fastrak.Rule_manager.local_controller (rm rk)
+        Fastrak.Rule_manager.local_controller rms.(0)
           ~server:(Host.Server.name server)
   in
   (match crash_lc with
   | Some lc when crash_armed ->
       ignore
-        (Engine.at racks.(0).rack_engine
+        (Engine.at (engine 0)
            (Simtime.of_sec cfg.crash_at)
            (fun () ->
              snap := Some (Fastrak.Local_controller.snapshot lc);
@@ -408,7 +294,7 @@ let run ?(config = default_config) () =
              Fastrak.Local_controller.crash lc));
       if cfg.restart_at > cfg.crash_at && cfg.restart_at < cfg.duration then
         ignore
-          (Engine.at racks.(0).rack_engine
+          (Engine.at (engine 0)
              (Simtime.of_sec cfg.restart_at)
              (fun () ->
                match !snap with
@@ -416,24 +302,24 @@ let run ?(config = default_config) () =
                    Fastrak.Local_controller.restart lc ~snapshot
                | None -> ()))
   | _ -> ());
-  Cluster.run ~until:(Simtime.of_sec cfg.duration) cluster;
+  Cluster.run ~until:(Simtime.of_sec cfg.duration) dc.cluster;
   (* Quiesce and drain: stop the offered load, let retries and grace
      windows expire, then check that every rack's two rule views
      agree — the recovery machinery must leave no divergence behind. *)
   Array.iter Stream.stop streams;
-  Cluster.run ~until:(Simtime.of_sec (cfg.duration +. cfg.drain)) cluster;
+  Cluster.run ~until:(Simtime.of_sec (cfg.duration +. cfg.drain)) dc.cluster;
   let reconciled =
-    Array.for_all
-      (fun rk ->
+    Array.for_all2
+      (fun rm (rk : Datacenter.rack) ->
         let tor_view =
           Fastrak.Tor_controller.offloaded_patterns
-            (Fastrak.Rule_manager.tor_controller (rm rk))
+            (Fastrak.Rule_manager.tor_controller rm)
         in
         let local_view =
           List.concat_map
             (fun server ->
               match
-                Fastrak.Rule_manager.local_controller (rm rk)
+                Fastrak.Rule_manager.local_controller rm
                   ~server:(Host.Server.name server)
               with
               | Some local -> Fastrak.Local_controller.offloaded_patterns local
@@ -441,15 +327,15 @@ let run ?(config = default_config) () =
             (Array.to_list rk.tb.Testbed.servers)
         in
         pattern_set_equal tor_view local_view)
-      racks
+      rms racks
   in
   let lanes_total = List.length !lane_names in
   let lanes_up_at_end =
     List.fold_left
-      (fun acc (rk, name) ->
+      (fun acc (rm, name) ->
         match
           Fastrak.Tor_controller.lane_is_up
-            (Fastrak.Rule_manager.tor_controller (rm rk))
+            (Fastrak.Rule_manager.tor_controller rm)
             ~name
         with
         | Some true -> acc + 1
@@ -465,16 +351,18 @@ let run ?(config = default_config) () =
         else if Fastrak.Local_controller.crashed lc then "still-down"
         else "recovered"
   in
-  let sum f = Array.fold_left (fun acc rk -> acc + f rk) 0 racks in
+  let sum f = Array.fold_left (fun acc x -> acc + f x) 0 in
+  let sum_tors f =
+    sum (fun (rk : Datacenter.rack) -> f rk.tb.Testbed.tor) racks
+  in
   let recovery_count, recovery_mean_s =
     summary_delta before "fastrak.recovery_time"
   in
   {
     cfg;
     schedule = Faults.Schedule.to_string sched;
-    express_sent = Array.fold_left (fun a s -> a + Stream.bytes_sent s) 0 streams;
-    express_acked =
-      Array.fold_left (fun a s -> a + Stream.bytes_acked s) 0 streams;
+    express_sent = sum Stream.bytes_sent streams;
+    express_acked = sum Stream.bytes_acked streams;
     lane_downs = counter_delta before "fastrak.failover.lane_down";
     lane_ups = counter_delta before "fastrak.failover.lane_up";
     failover_demotions = counter_delta before "fastrak.failover.demotions";
@@ -489,14 +377,13 @@ let run ?(config = default_config) () =
     install_faults = counter_delta before "tor.tcam.install_faults";
     soft_errors = counter_delta before "tor.tcam.soft_errors";
     fabric_drops = counter_delta before "fabric.channel.drops";
-    core_routed = Core_switch.packets_routed core;
-    core_dropped = Core_switch.packets_dropped core;
-    acl_drops = sum (fun rk -> Tor.Tor_switch.acl_drops rk.tb.Testbed.tor);
-    no_route_drops =
-      sum (fun rk -> Tor.Tor_switch.no_route_drops rk.tb.Testbed.tor);
+    core_routed = Fabric.Core_switch.packets_routed dc.core;
+    core_dropped = Fabric.Core_switch.packets_dropped dc.core;
+    acl_drops = sum_tors Tor.Tor_switch.acl_drops;
+    no_route_drops = sum_tors Tor.Tor_switch.no_route_drops;
     lanes_up_at_end;
     lanes_total;
-    offloaded_at_end = sum (fun rk -> Fastrak.Rule_manager.offloaded_count (rm rk));
+    offloaded_at_end = sum Fastrak.Rule_manager.offloaded_count rms;
     crash_outcome;
     crash_flight = !crash_flight;
     reconciled;

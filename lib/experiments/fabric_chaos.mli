@@ -1,8 +1,12 @@
 (** fabric-chaos: the data-plane failure-domain experiment.
 
-    A ring of racks on the sharded cluster engine, each streaming
-    open-loop to the next rack's receiver. Unlike {!Dcscale}, nothing
-    on the transmit side is pinned: the per-rack FasTrak controllers
+    A ring of racks built by {!Datacenter.create} on the sharded
+    cluster engine, each streaming open-loop to the next rack's
+    receiver. Each rack's peer routes are re-pointed at its own
+    fault-injected express uplink, while the builder's reliable uplink
+    carries the VXLAN fallback; only the receive half of each lane is
+    provisioned ({!Datacenter.receive}). Unlike {!Dcscale}, nothing on
+    the transmit side is pinned: the per-rack FasTrak controllers
     promote the streams onto the GRE express lanes themselves, so the
     full failover loop is exercised — BFD-style lane probes detect the
     schedule's mid-run express-uplink outage, covered aggregates demote
@@ -17,7 +21,9 @@
     on a dead path would trip the [no_blackhole] monitor. *)
 
 type config = {
-  racks : int;  (** Ring size, 2..84. *)
+  racks : int;
+      (** Ring size, 2–78 (VM addresses 10.7.0.[100+2r..101+2r]; see
+          {!Datacenter.create}). *)
   servers_per_rack : int;
   duration : float;  (** Seconds under load. *)
   drain : float;  (** Quiesce time after stopping the streams. *)
@@ -27,20 +33,19 @@ type config = {
       (** When to crash rack 0's sender-side local controller
           (seconds; outside [(0, duration)] disables the script). *)
   restart_at : float;  (** When to restart it from its snapshot. *)
+  schedule : string;
+      (** Fault schedule: a profile name or raw [key=value] spec, as
+          accepted by {!Faults.Schedule.profile} (the CLI's [--faults]). *)
   seed : int;
 }
 
 val default_config : config
 (** 4 racks x 2 servers, 3 s + 1 s drain, 40 Mbit/s per lane, crash at
-    2.0 s / restart at 2.3 s, seed 42. *)
-
-val schedule_spec : string ref
-(** Fault schedule spec (profile name or raw [key=value] string),
-    normally set by the CLI's [--faults]. Default ["fabric"]. *)
+    2.0 s / restart at 2.3 s, the ["fabric"] schedule, seed 42. *)
 
 type result = {
   cfg : config;
-  schedule : string;
+  schedule : string;  (** Canonical rendering of the schedule run. *)
   express_sent : int;
   express_acked : int;
   lane_downs : int;
@@ -75,4 +80,7 @@ type result = {
 }
 
 val run : ?config:config -> unit -> result
+(** @raise Invalid_argument on fewer than 2 racks, a bad schedule, or a
+    config outside the address plan. *)
+
 val print : result -> unit

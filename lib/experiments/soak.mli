@@ -1,15 +1,18 @@
 (** Long-haul soak under production-shaped load.
 
     ROADMAP item 5: datacenter-realistic traffic instead of the
-    paper's netperf/memcached shapes. Each rack (own engine shard,
-    joined through the aggregation core as in {!Dcscale}) runs a
+    paper's netperf/memcached shapes. The racks come from
+    {!Datacenter.create} (one engine shard each, joined through the
+    aggregation core; one shared engine for a single rack), and this
+    module adds only the load and churn on top. Each rack runs a
     {!Workloads.Loadgen} orchestrator — heavy-tailed flow sizes over
     hot/cold services, a diurnal arrival curve, per-source ON/OFF
     bursts, periodic incast fan-in at a victim service — while tenant
     churn cycles a VM through the two-phase migration machinery and a
-    ring of pinned cross-rack express streams gives the no_blackhole
-    monitor delivery progress to watch. Run it under
-    [--monitors strict]: the acceptance bar is zero violations. *)
+    ring of cross-rack express streams, pinned with
+    {!Datacenter.pin_lane}, gives the no_blackhole monitor delivery
+    progress to watch. Run it under [--monitors strict]: the
+    acceptance bar is zero violations. *)
 
 type workload = Mixed | Steady | Bursty | Incast_heavy
 

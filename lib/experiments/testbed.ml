@@ -168,5 +168,3 @@ let force_path_vf t (a : Host.Server.attached) =
 let run_for t ~seconds =
   let until = Simtime.add (Engine.now t.engine) (Simtime.span_sec seconds) in
   Engine.run ~until t.engine
-
-let attached_vm (a : Host.Server.attached) = a.vm

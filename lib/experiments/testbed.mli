@@ -80,5 +80,3 @@ val force_path_vf : t -> Host.Server.attached -> unit
 
 val run_for : t -> seconds:float -> unit
 (** Advance the simulation by [seconds] from now. *)
-
-val attached_vm : Host.Server.attached -> Host.Vm.t

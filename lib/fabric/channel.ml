@@ -109,10 +109,6 @@ let send t msg =
               deliver_loose t ~at:(Simtime.add earliest d) (t.copy msg)))
 
 let name t = t.chan_name
-let latency t = t.latency
-let source t = t.src
-let destination t = t.dst
 let messages_sent t = t.sent
 let messages_delivered t = t.delivered
-let messages_dropped t = t.dropped
 let in_flight t = t.sent - t.delivered - t.dropped

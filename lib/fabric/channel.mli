@@ -62,24 +62,12 @@ val send : 'msg t -> 'msg -> unit
 val name : 'msg t -> string
 (** The label given at creation. *)
 
-val latency : 'msg t -> Dcsim.Simtime.span
-(** The minimum propagation delay. *)
-
-val source : 'msg t -> Dcsim.Engine.t
-(** The sending shard's engine. *)
-
-val destination : 'msg t -> Dcsim.Engine.t
-(** The receiving shard's engine. *)
-
 val messages_sent : 'msg t -> int
 (** Messages accepted by {!send} so far. *)
 
 val messages_delivered : 'msg t -> int
 (** Messages whose handler has already run (duplicated deliveries
     count, so under faults this can exceed {!messages_sent}). *)
-
-val messages_dropped : 'msg t -> int
-(** Messages lost to fault injection. Always zero without [?faults]. *)
 
 val in_flight : 'msg t -> int
 (** Messages sent but neither delivered nor dropped. Can dip below

@@ -17,7 +17,6 @@ type port = {
 }
 
 type t = {
-  core_name : string;
   engine : Dcsim.Engine.t;
   downlinks : (int, port) Hashtbl.t; (* tor ip -> downlink port *)
   server_rack : (int, int) Hashtbl.t; (* server ip -> tor ip *)
@@ -26,9 +25,8 @@ type t = {
   mutable port_dropped : int;
 }
 
-let create ~engine ?(name = "core") () =
+let create ~engine =
   {
-    core_name = name;
     engine;
     downlinks = Hashtbl.create 16;
     server_rack = Hashtbl.create 64;
@@ -104,9 +102,6 @@ let receive t pkt =
          one reaching the core has no routable outer address. *)
       drop t
 
-let name t = t.core_name
-let engine t = t.engine
-let racks_attached t = Hashtbl.length t.downlinks
 let packets_routed t = t.routed
 let packets_dropped t = t.dropped
 let port_drops t = t.port_dropped

@@ -15,8 +15,8 @@
 
 type t
 
-val create : engine:Dcsim.Engine.t -> ?name:string -> unit -> t
-(** A core switch running on [engine] (default name ["core"]). *)
+val create : engine:Dcsim.Engine.t -> t
+(** A core switch running on [engine]. *)
 
 val attach_rack :
   t ->
@@ -46,15 +46,6 @@ val receive : t -> Netcore.Packet.t -> unit
 (** Handle a packet arriving on an uplink: route it to the matching
     downlink, or drop it (counted) if the outer encapsulation names no
     attached rack. Use this as the uplink channels' handler. *)
-
-val name : t -> string
-(** The label given at creation. *)
-
-val engine : t -> Dcsim.Engine.t
-(** The shard engine the core runs on. *)
-
-val racks_attached : t -> int
-(** Number of distinct racks with a registered downlink. *)
 
 val packets_routed : t -> int
 (** Packets forwarded to a downlink so far. *)

@@ -350,6 +350,83 @@ let test_dcscale_sharded_equals_single () =
     (sharded.Experiments.Dcscale.windows > 0);
   checki "single layout is one shard" 1 single.Experiments.Dcscale.shard_count
 
+(* --- Datacenter builder --- *)
+
+module Datacenter = Experiments.Datacenter
+
+(* Three racks in the given layout with one rack 0 -> rack 2 express
+   lane pinned by the shared helper and a short stream over it. *)
+let datacenter_stream ~sharded =
+  let dc =
+    Datacenter.create ~sharded ~seed:7 ~racks:3 ~servers_per_rack:1
+      ~name_prefix:"t" ~vms:[| "a"; "b" |] ~first_octet:1 ~rack_stride:2 ()
+  in
+  let src = dc.Datacenter.racks.(0) and dst = dc.Datacenter.racks.(2) in
+  let a = src.Datacenter.vms.(0) and b = dst.Datacenter.vms.(1) in
+  Datacenter.pin_lane ~src ~dst a b;
+  Workloads.Stream.install_sink ~vm:b.Host.Server.vm ~port:7000 ();
+  let stream =
+    Workloads.Stream.start ~engine:src.Datacenter.tb.Experiments.Testbed.engine
+      ~vm:a.Host.Server.vm
+      {
+        (Workloads.Stream.default_config
+           ~dst_ip:(Host.Vm.ip b.Host.Server.vm)) with
+        Workloads.Stream.dst_port = 7000;
+        message_size = 2048;
+        total_bytes = Some (16 * 2048);
+      }
+  in
+  Cluster.run ~until:(Simtime.of_sec 0.05) dc.Datacenter.cluster;
+  (dc, Workloads.Stream.bytes_acked stream)
+
+let test_datacenter_layouts_agree () =
+  let sharded, sharded_acked = datacenter_stream ~sharded:true in
+  let single, single_acked = datacenter_stream ~sharded:false in
+  checki "every byte acked" (16 * 2048) sharded_acked;
+  checki "acked bytes equal across layouts" sharded_acked single_acked;
+  List.iter
+    (fun dc ->
+      checkb "core routed the lane" true
+        (Fabric.Core_switch.packets_routed dc.Datacenter.core > 0);
+      Array.iter
+        (fun rk ->
+          checki "no ToR no-route drops" 0
+            (Tor.Tor_switch.no_route_drops
+               rk.Datacenter.tb.Experiments.Testbed.tor))
+        dc.Datacenter.racks)
+    [ sharded; single ];
+  checki "sharded: a shard per rack plus the core" 4
+    (Cluster.shard_count sharded.Datacenter.cluster);
+  checki "single: one shared shard" 1
+    (Cluster.shard_count single.Datacenter.cluster);
+  checkb "lookahead is the fabric hop" true
+    (Cluster.lookahead sharded.Datacenter.cluster = Some Datacenter.fabric_hop)
+
+(* fabric-chaos's VM addresses run out at 78 racks; 79 must be refused
+   up front by the address-plan check, naming [racks], before any rack
+   is built (building one points the trace clock at its engine). *)
+let test_fabric_chaos_rack_bound () =
+  let sentinel = Simtime.of_ns 424242 in
+  Obs.Trace.set_clock (fun () -> sentinel);
+  let contains s sub =
+    let n = String.length sub in
+    let rec go i =
+      i + n <= String.length s && (String.sub s i n = sub || go (i + 1))
+    in
+    go 0
+  in
+  (match
+     Experiments.Fabric_chaos.run
+       ~config:{ Experiments.Fabric_chaos.default_config with racks = 79 }
+       ()
+   with
+  | _ -> Alcotest.fail "racks = 79 was accepted"
+  | exception Invalid_argument msg ->
+      checkb ("message names racks: " ^ msg) true (contains msg "racks");
+      checkb ("message names the largest fit: " ^ msg) true
+        (contains msg "78"));
+  checkb "no rack built" true (Obs.Trace.now () = sentinel)
+
 let suite =
   [
     Alcotest.test_case "run_window: exclusive bound" `Quick
@@ -381,4 +458,8 @@ let suite =
     QCheck_alcotest.to_alcotest prop_sharded_matches_single;
     Alcotest.test_case "dcscale: sharded run equals single-engine run" `Slow
       test_dcscale_sharded_equals_single;
+    Alcotest.test_case "datacenter: 3 racks agree across layouts" `Quick
+      test_datacenter_layouts_agree;
+    Alcotest.test_case "fabric-chaos: racks beyond the address plan rejected"
+      `Quick test_fabric_chaos_rack_bound;
   ]

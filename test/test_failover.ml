@@ -178,24 +178,18 @@ let test_audit_repairs_and_spares_statics () =
 
 (* --- Express-lane failover, end to end --- *)
 
-(* Run fabric-chaos on a fixed 2-rack ring under a given schedule; the
-   schedule_spec ref is restored afterwards so other tests (and the
-   CLI default) are unaffected. *)
+(* Run fabric-chaos on a fixed 2-rack ring under a given schedule. *)
 let chaos_run ~spec ?(crash = false) () =
-  let saved = !Fabric_chaos.schedule_spec in
-  Fun.protect
-    ~finally:(fun () -> Fabric_chaos.schedule_spec := saved)
-    (fun () ->
-      Fabric_chaos.schedule_spec := spec;
-      let cfg =
-        {
-          Fabric_chaos.default_config with
-          Fabric_chaos.racks = 2;
-          crash_at = (if crash then 2.0 else -1.0);
-          restart_at = 2.3;
-        }
-      in
-      Fabric_chaos.run ~config:cfg ())
+  let cfg =
+    {
+      Fabric_chaos.default_config with
+      Fabric_chaos.racks = 2;
+      crash_at = (if crash then 2.0 else -1.0);
+      restart_at = 2.3;
+      schedule = spec;
+    }
+  in
+  Fabric_chaos.run ~config:cfg ()
 
 (* A single clean outage window: every lane goes down exactly once and
    comes back exactly once (no flapping), every demoted aggregate is

@@ -1150,7 +1150,6 @@ let test_flight_install_and_monitor_context () =
 (* The crash dump is deterministic: two identical fabric-chaos runs
    freeze byte-identical compact snapshots at the scripted crash. *)
 let test_flight_crash_dump_deterministic () =
-  let saved = !Experiments.Fabric_chaos.schedule_spec in
   let run_once () =
     (* Span ids are allocated process-globally; restart them so both
        runs label identical spans identically. *)
@@ -1162,32 +1161,29 @@ let test_flight_crash_dump_deterministic () =
         Flight.uninstall ();
         Trace.disable ())
       (fun () ->
-        Experiments.Fabric_chaos.schedule_spec := "none";
         let cfg =
           {
             Experiments.Fabric_chaos.default_config with
             Experiments.Fabric_chaos.racks = 2;
             crash_at = 2.0;
             restart_at = 2.3;
+            schedule = "none";
           }
         in
         Experiments.Fabric_chaos.run ~config:cfg ())
   in
-  Fun.protect
-    ~finally:(fun () -> Experiments.Fabric_chaos.schedule_spec := saved)
-    (fun () ->
-      let r1 = run_once () in
-      let r2 = run_once () in
-      match
-        (r1.Experiments.Fabric_chaos.crash_flight,
-         r2.Experiments.Fabric_chaos.crash_flight)
-      with
-      | Some c1, Some c2 ->
-          checkb "snapshots byte-identical" true (String.equal c1 c2);
-          (match Flight.of_compact c1 with
-          | Some events -> checkb "snapshot non-empty" true (events <> [])
-          | None -> Alcotest.fail "crash snapshot did not decode")
-      | _ -> Alcotest.fail "crash did not freeze a flight snapshot")
+  let r1 = run_once () in
+  let r2 = run_once () in
+  match
+    (r1.Experiments.Fabric_chaos.crash_flight,
+     r2.Experiments.Fabric_chaos.crash_flight)
+  with
+  | Some c1, Some c2 ->
+      checkb "snapshots byte-identical" true (String.equal c1 c2);
+      (match Flight.of_compact c1 with
+      | Some events -> checkb "snapshot non-empty" true (events <> [])
+      | None -> Alcotest.fail "crash snapshot did not decode")
+  | _ -> Alcotest.fail "crash did not freeze a flight snapshot"
 
 (* --- Labeled metric families --- *)
 
