@@ -329,6 +329,16 @@ module Pattern = struct
     let compare a b = Stdlib.compare (bits a) (bits b)
     let hash m = bits m
 
+    let hash_flow m (k : fkey) =
+      let h = 0x42 in
+      let h = if m.src_ip then mix h (k.src_ip :> int) else h in
+      let h = if m.dst_ip then mix h (k.dst_ip :> int) else h in
+      let h = if m.src_port then mix h k.src_port else h in
+      let h = if m.dst_port then mix h k.dst_port else h in
+      let h = if m.proto then mix h (proto_rank k.proto) else h in
+      let h = if m.tenant then mix h (Tenant.to_int k.tenant) else h in
+      h land max_int
+
     let field_count m =
       (if m.src_ip then 1 else 0)
       + (if m.dst_ip then 1 else 0)

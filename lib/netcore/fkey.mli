@@ -159,6 +159,14 @@ module Pattern : sig
     val equal : t -> t -> bool
     val compare : t -> t -> int
     val hash : t -> int
+
+    val hash_flow : t -> fkey -> int
+    (** Hash of the masked fields of a flow, ignoring the rest: flows
+        that agree on every masked field hash equal, so every flow a
+        pattern [p] matches hashes like any one of them under
+        [of_pattern p]. Integer arithmetic only — allocation-free, for
+        per-packet tuple-space lookups. *)
+
     val pp : Format.formatter -> t -> unit
   end
 end
