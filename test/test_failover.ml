@@ -221,6 +221,19 @@ let test_crash_restart_reconciles () =
   checkb "views reconciled" true r.Fabric_chaos.reconciled;
   checki "nothing blackholed" 0 r.Fabric_chaos.no_route_drops
 
+(* Rings of 40 racks and up end with an anti-entropy demote pushed
+   200 us before the run stops; the reconciliation check must not count
+   that in-flight directive as a divergence. *)
+let test_large_ring_reconciles () =
+  let r =
+    Fabric_chaos.run
+      ~config:{ Fabric_chaos.default_config with Fabric_chaos.racks = 40 }
+      ()
+  in
+  checki "all lanes up at end" r.Fabric_chaos.lanes_total
+    r.Fabric_chaos.lanes_up_at_end;
+  checkb "views reconciled" true r.Fabric_chaos.reconciled
+
 (* Property: under ANY random link-down window that closes before the
    load stops, the system converges — every lane heals, delivery
    resumes, the TOR-side and server-side offload views reconcile, and
@@ -254,5 +267,6 @@ let suite =
     t "audit repairs losses, spares statics" test_audit_repairs_and_spares_statics;
     t "lane failover with hysteresis" test_lane_failover_hysteresis;
     t "crash restart reconciles" test_crash_restart_reconciles;
+    t "40-rack fabric-chaos reconciles" test_large_ring_reconciles;
     QCheck_alcotest.to_alcotest prop_recovery_after_random_outage;
   ]
