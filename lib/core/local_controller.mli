@@ -14,6 +14,9 @@ type directive =
   | Offload of { vm_ip : Netcore.Ipv4.t; pattern : Netcore.Fkey.Pattern.t }
   | Demote of { vm_ip : Netcore.Ipv4.t; pattern : Netcore.Fkey.Pattern.t }
 
+val directive_pattern : directive -> Netcore.Fkey.Pattern.t
+(** The aggregate a directive concerns. *)
+
 type sequenced = { seq : int; directive : directive }
 (** A directive stamped with the TOR controller's per-rack sequence
     number. The channel may drop, duplicate or reorder sequenced
