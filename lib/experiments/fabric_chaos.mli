@@ -76,8 +76,15 @@ type result = {
           black-box record of what led up to the failure. [None]
           unless a recorder was installed and the crash fired. Decode
           with {!Obs.Flight.of_compact}. *)
-  reconciled : bool;
+  reconciled : bool;  (** {!views_reconciled} held on every rack. *)
 }
+
+val views_reconciled : Fastrak.Rule_manager.t -> Host.Server.t array -> bool
+(** The end-of-run check on one rack: the TOR controller's offloaded
+    aggregates equal the union of its servers' local controllers',
+    leaving out only aggregates whose directive is still on the wire
+    ({!Fastrak.Tor_controller.in_flight_patterns}). An exhausted
+    demote waiting for replay is compared, so it fails the check. *)
 
 val run : ?config:config -> unit -> result
 (** @raise Invalid_argument on fewer than 2 racks, a bad schedule, or a

@@ -425,6 +425,44 @@ let test_dead_peer_demotes_and_revives () =
     (Fastrak.Tor_controller.unacked_directives
        (Fastrak.Rule_manager.tor_controller rm))
 
+(* An exhausted demote waiting for replay is not in flight. With the
+   decision loop stopped and the control link down, a demote of the
+   hot VM's offloads exhausts its retries: the local controller still
+   steers the aggregate to the VF after its VRF rules are gone. The
+   fabric-chaos reconciliation check leaves the aggregate out only
+   while the demote is on the wire, and reports the divergence once
+   it is waiting for replay. *)
+let test_exhausted_demote_not_reconciled () =
+  let sched =
+    match Schedule.of_string "down=1.0:5.0" with
+    | Ok s -> s
+    | Error e -> Alcotest.fail e
+  in
+  let tb, a, _, rm, _ = faulty_testbed ~seed:42 ~faults:sched () in
+  let tc = Fastrak.Rule_manager.tor_controller rm in
+  let reconciled () =
+    Experiments.Fabric_chaos.views_reconciled rm tb.Experiments.Testbed.servers
+  in
+  Fastrak.Rule_manager.start rm;
+  Experiments.Testbed.run_for tb ~seconds:0.9;
+  Fastrak.Rule_manager.stop rm;
+  checkb "offloaded before the outage" true (Fastrak.Rule_manager.offloaded_count rm > 0);
+  checkb "reconciled before the outage" true (reconciled ());
+  Experiments.Testbed.run_for tb ~seconds:0.2;
+  let demoted =
+    Fastrak.Tor_controller.demote_all_for_vm tc ~vm_ip:(Host.Vm.ip a.Host.Server.vm)
+  in
+  checkb "demoted" true (demoted <> []);
+  Experiments.Testbed.run_for tb ~seconds:0.1;
+  checkb "demote on the wire" true (Fastrak.Tor_controller.in_flight_patterns tc <> []);
+  checkb "in-flight demote left out" true (reconciled ());
+  Experiments.Testbed.run_for tb ~seconds:1.5;
+  checki "nothing on the wire" 0
+    (List.length (Fastrak.Tor_controller.in_flight_patterns tc));
+  checkb "exhausted demote unacked" true
+    (Fastrak.Tor_controller.unacked_directives tc > 0);
+  checkb "exhausted demote not reconciled" false (reconciled ())
+
 (* --- VM migration abort --- *)
 
 let test_migration_abort () =
@@ -484,5 +522,6 @@ let suite =
     t "tcam reserve_fail counter" test_tcam_reserve_fail_counter;
     QCheck_alcotest.to_alcotest prop_reconcile_after_faults;
     t "dead peer demotes and revives" test_dead_peer_demotes_and_revives;
+    t "exhausted demote is not reconciled" test_exhausted_demote_not_reconciled;
     t "migration abort restores source" test_migration_abort;
   ]
