@@ -14,6 +14,7 @@ type t = {
   deliver : Packet.t -> unit;
   wire : Compute.Cpu_pool.t;  (* 1-server queue: the wire itself *)
   faults : Faults.Injector.t option;
+  mutable feeder : unit -> unit;
   mutable packets_sent : int;
   mutable bytes_sent : int;
   mutable packets_dropped : int;
@@ -28,6 +29,7 @@ let create ?faults ~engine ~name ~gbps ~latency ~deliver () =
     deliver;
     wire = Compute.Cpu_pool.create ~engine ~cpus:1 ~name:(name ^ ".wire");
     faults;
+    feeder = ignore;
     packets_sent = 0;
     bytes_sent = 0;
     packets_dropped = 0;
@@ -73,7 +75,10 @@ let transmit t pkt =
   Compute.Cpu_pool.submit t.wire ~cost (fun () ->
       t.packets_sent <- t.packets_sent + 1;
       t.bytes_sent <- t.bytes_sent + bytes_len;
-      propagate t pkt)
+      propagate t pkt;
+      t.feeder ())
+
+let set_feeder t feeder = t.feeder <- feeder
 
 let busy_seconds t = Compute.Cpu_pool.busy_seconds t.wire
 let utilization t ~over = Compute.Cpu_pool.utilization t.wire ~over

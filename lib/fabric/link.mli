@@ -37,6 +37,15 @@ val transmit : t -> Netcore.Packet.t -> unit
 (** Enqueue a message for serialisation; it is delivered one
     serialisation delay plus [latency] after the wire frees up. *)
 
+val set_feeder : t -> (unit -> unit) -> unit
+(** [set_feeder t f] makes [t] call [f] each time a message leaves the
+    wire, after its propagation is scheduled and before the link starts
+    its next queued message. A feeder that holds its packets and calls
+    {!transmit} at most once per callback (plus once to start an idle
+    wire) keeps the link's own FIFO empty, so the feeder alone decides
+    what goes next — {!Tor.Qos_queue} pulls this way. Replaces any
+    earlier feeder; the default does nothing. *)
+
 val busy_seconds : t -> float
 (** Total simulated seconds the wire has spent serialising. *)
 

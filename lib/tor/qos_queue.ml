@@ -1,12 +1,8 @@
-module Simtime = Dcsim.Simtime
-module Engine = Dcsim.Engine
 module Packet = Netcore.Packet
 
 type t = {
-  engine : Engine.t;
   queues : Packet.t Queue.t array;
   link : Fabric.Link.t;
-  gbps : float;
   mutable busy : bool;
   mutable sent : int;
 }
@@ -14,19 +10,6 @@ type t = {
 let m_enqueued = Obs.Metrics.counter "tor.qos.enqueued"
 let m_sent = Obs.Metrics.counter "tor.qos.sent"
 let m_depth = Obs.Metrics.summary "tor.qos.depth"
-
-let create ~engine ~classes ~link ~gbps =
-  if classes <= 0 then invalid_arg "Qos_queue.create: classes must be positive";
-  {
-    engine;
-    queues = Array.init classes (fun _ -> Queue.create ());
-    link;
-    gbps;
-    busy = false;
-    sent = 0;
-  }
-
-let classes t = Array.length t.queues
 
 let highest_nonempty t =
   let rec scan i =
@@ -36,19 +19,30 @@ let highest_nonempty t =
   in
   scan (Array.length t.queues - 1)
 
-let rec pump t =
+(* Hands the link one packet: called to start an idle wire and, as the
+   link's feeder, each time the wire frees. *)
+let pump t =
   match highest_nonempty t with
   | None -> t.busy <- false
   | Some i ->
-      let pkt = Queue.pop t.queues.(i) in
-      let bytes_len = Fabric.Link.wire_bytes pkt in
-      let serialization =
-        Simtime.span_of_bytes_at_rate ~bytes_len ~gbps:t.gbps
-      in
       t.sent <- t.sent + 1;
       Obs.Metrics.incr m_sent;
-      Fabric.Link.transmit t.link pkt;
-      ignore (Engine.after t.engine serialization (fun () -> pump t))
+      Fabric.Link.transmit t.link (Queue.pop t.queues.(i))
+
+let create ~classes ~link =
+  if classes <= 0 then invalid_arg "Qos_queue.create: classes must be positive";
+  let t =
+    {
+      queues = Array.init classes (fun _ -> Queue.create ());
+      link;
+      busy = false;
+      sent = 0;
+    }
+  in
+  Fabric.Link.set_feeder link (fun () -> pump t);
+  t
+
+let classes t = Array.length t.queues
 
 let total_queued t =
   Array.fold_left (fun acc q -> acc + Queue.length q) 0 t.queues

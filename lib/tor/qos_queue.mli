@@ -2,15 +2,18 @@
     routers typically provide a set of QoS queues").
 
     Packets are enqueued into one of N classes; the highest non-empty
-    class transmits first. The multiplexer paces itself at the link
-    rate so the underlying {!Fabric.Link} never builds its own queue —
-    priority therefore actually matters under contention. *)
+    class transmits first. The multiplexer pulls from its link: it
+    hands {!Fabric.Link.transmit} one packet when the wire is idle and
+    the next only when the link calls it back as its feeder (see
+    {!Fabric.Link.set_feeder}), so the link never builds its own queue
+    and priority decides every departure under contention. Pacing is
+    the link's alone; the multiplexer keeps no timer and no rate. *)
 
 type t
 
-val create :
-  engine:Dcsim.Engine.t -> classes:int -> link:Fabric.Link.t -> gbps:float -> t
-(** [classes] priority queues multiplexed onto [link], paced at [gbps].
+val create : classes:int -> link:Fabric.Link.t -> t
+(** [classes] priority queues multiplexed onto [link]; installs itself
+    as [link]'s feeder, so [link] must carry no other traffic.
     @raise Invalid_argument when [classes <= 0]. *)
 
 val classes : t -> int

@@ -107,7 +107,7 @@ let attach_server t ~server_ip ~to_vswitch ~to_sriov =
       Fabric.Link.create ~engine:t.engine ~name ~gbps:Cost.link_gbps
         ~latency:Cost.tor_forward_latency ~deliver ()
     in
-    Qos_queue.create ~engine:t.engine ~classes:8 ~link ~gbps:Cost.link_gbps
+    Qos_queue.create ~classes:8 ~link
   in
   let key = ip_key server_ip in
   let port_name kind =

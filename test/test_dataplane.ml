@@ -318,7 +318,7 @@ let test_qos_strict_priority () =
       ~deliver:(fun p -> order := p.Packet.payload :: !order)
       ()
   in
-  let q = Tor.Qos_queue.create ~engine ~classes:4 ~link ~gbps:10.0 in
+  let q = Tor.Qos_queue.create ~classes:4 ~link in
   (* First packet starts transmitting immediately; the rest queue and
      must leave highest class first. *)
   Tor.Qos_queue.enqueue q ~queue:0 (pkt ~payload:9000 (flow ()));
