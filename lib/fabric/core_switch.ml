@@ -1,5 +1,6 @@
 module Packet = Netcore.Packet
 module Ipv4 = Netcore.Ipv4
+module Int_table = Dcsim.Int_table
 
 let m_routed = Obs.Metrics.counter "fabric.core.routed"
 let m_drops = Obs.Metrics.counter "fabric.core.no_route_drops"
@@ -18,8 +19,8 @@ type port = {
 
 type t = {
   engine : Dcsim.Engine.t;
-  downlinks : (int, port) Hashtbl.t; (* tor ip -> downlink port *)
-  server_rack : (int, int) Hashtbl.t; (* server ip -> tor ip *)
+  downlinks : port Int_table.t; (* tor ip -> downlink port *)
+  server_rack : int Int_table.t; (* server ip -> tor ip *)
   mutable routed : int;
   mutable dropped : int;
   mutable port_dropped : int;
@@ -28,8 +29,8 @@ type t = {
 let create ~engine =
   {
     engine;
-    downlinks = Hashtbl.create 16;
-    server_rack = Hashtbl.create 64;
+    downlinks = Int_table.create 16;
+    server_rack = Int_table.create 64;
     routed = 0;
     dropped = 0;
     port_dropped = 0;
@@ -38,11 +39,11 @@ let create ~engine =
 let ip_key addr = Int32.to_int (Ipv4.to_int32 addr)
 
 let attach_rack t ?faults ~tor_ip ~downlink () =
-  let rack = Hashtbl.length t.downlinks in
-  Hashtbl.replace t.downlinks (ip_key tor_ip) { downlink; faults; rack }
+  let rack = Int_table.length t.downlinks in
+  Int_table.replace t.downlinks (ip_key tor_ip) { downlink; faults; rack }
 
 let register_server t ~server_ip ~tor_ip =
-  Hashtbl.replace t.server_rack (ip_key server_ip) (ip_key tor_ip)
+  Int_table.replace t.server_rack (ip_key server_ip) (ip_key tor_ip)
 
 let drop t =
   t.dropped <- t.dropped + 1;
@@ -77,13 +78,13 @@ let port_out t port pkt =
                 (fun () -> Channel.send port.downlink (Packet.copy pkt))))
 
 let forward t key pkt =
-  match Hashtbl.find_opt t.downlinks key with
-  | Some port ->
+  match Int_table.find t.downlinks key with
+  | port ->
       t.routed <- t.routed + 1;
       Obs.Metrics.incr m_routed;
       Obs.Metrics.incr (Obs.Metrics.labeled_counter fam_routed port.rack);
       port_out t port pkt
-  | None -> drop t
+  | exception Not_found -> drop t
 
 let receive t pkt =
   match Packet.outer_encap pkt with
@@ -94,9 +95,9 @@ let receive t pkt =
   | Some (Packet.Vxlan { tunnel_dst; _ }) -> (
       (* Software-path traffic between racks: the outer address is the
          destination server; route to its rack's ToR. *)
-      match Hashtbl.find_opt t.server_rack (ip_key tunnel_dst) with
-      | Some tor_key -> forward t tor_key pkt
-      | None -> drop t)
+      match Int_table.find t.server_rack (ip_key tunnel_dst) with
+      | tor_key -> forward t tor_key pkt
+      | exception Not_found -> drop t)
   | Some (Packet.Vlan _) | None ->
       (* VLAN-tagged and plain packets are rack-local by construction;
          one reaching the core has no routable outer address. *)

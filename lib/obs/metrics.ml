@@ -1,4 +1,5 @@
 module Stats = Dcsim.Stats
+module Int_table = Dcsim.Int_table
 
 type counter = { mutable c : int }
 type gauge = { mutable g : float }
@@ -35,7 +36,7 @@ and 'i family = {
   f_label : string;
   f_render : int -> string;
   f_max : int;
-  f_cache : (int, 'i) Hashtbl.t;
+  f_cache : 'i Int_table.t;
   mutable f_overflow : 'i option;
   f_get : t -> string -> 'i;
 }
@@ -127,7 +128,7 @@ let record h v = Stats.Histogram.add h v
    name, registered in the ordinary instrument table under
    "base{label=\"value\"}". Values are keyed by int on the hot path
    (tenant ids, rack indexes, path ranks) so the steady-state lookup is
-   one int-keyed Hashtbl.find — no string building, no allocation.
+   one Int_table.find — no string building, no allocation.
    Once [max_series] distinct values exist, further values share one
    overflow series labeled "__other__", keeping cardinality bounded no
    matter what the workload does. *)
@@ -193,7 +194,7 @@ let make_family table registry max_series label render get name =
           f_label = label;
           f_render = render;
           f_max = max_series;
-          f_cache = Hashtbl.create 16;
+          f_cache = Int_table.create 16;
           f_overflow = None;
           f_get = get;
         }
@@ -214,9 +215,9 @@ let gauge_family ?(registry = default) ?(max_series = 64) ~label
     name
 
 let labeled fam key =
-  try Hashtbl.find fam.f_cache key
+  try Int_table.find fam.f_cache key
   with Not_found ->
-    if Hashtbl.length fam.f_cache >= fam.f_max then (
+    if Int_table.length fam.f_cache >= fam.f_max then (
       match fam.f_overflow with
       | Some i -> i
       | None ->
@@ -231,7 +232,7 @@ let labeled fam key =
         fam.f_get fam.f_registry
           (labeled_name fam.f_name fam.f_label (fam.f_render key))
       in
-      Hashtbl.replace fam.f_cache key i;
+      Int_table.replace fam.f_cache key i;
       i
     end
 
@@ -239,7 +240,7 @@ let labeled_counter (fam : counter_family) key = labeled fam key
 let labeled_gauge (fam : gauge_family) key = labeled fam key
 
 let labeled_counter_values (fam : counter_family) =
-  Hashtbl.fold (fun key c acc -> (key, c.c) :: acc) fam.f_cache []
+  Int_table.fold (fun key c acc -> (key, c.c) :: acc) fam.f_cache []
   |> List.sort (fun (a, _) (b, _) -> compare a b)
 
 let family_names ?(registry = default) () =

@@ -1,5 +1,6 @@
 module Simtime = Dcsim.Simtime
 module Stats = Dcsim.Stats
+module Int_table = Dcsim.Int_table
 
 (* Per-tenant accounting cell. Goodput is cumulative delivered bytes
    stamped with the trace clock at first and last delivery, so the
@@ -15,10 +16,10 @@ type cell = {
   latency : Stats.Histogram.t;
 }
 
-let cells : (int, cell) Hashtbl.t = Hashtbl.create 16
+let cells : cell Int_table.t = Int_table.create 16
 
 let cell tenant =
-  try Hashtbl.find cells tenant
+  try Int_table.find cells tenant
   with Not_found ->
     let c =
       {
@@ -30,10 +31,10 @@ let cell tenant =
         latency = Stats.Histogram.create ();
       }
     in
-    Hashtbl.replace cells tenant c;
+    Int_table.replace cells tenant c;
     c
 
-let reset () = Hashtbl.reset cells
+let reset () = Int_table.reset cells
 
 let add_contract ~tenant ?tx_bps ?p99_us () =
   let c = cell tenant in
@@ -110,7 +111,7 @@ let row_of_cell ~tolerance tenant (c : cell) =
   }
 
 let scoreboard ?(tolerance = default_tolerance) () =
-  Hashtbl.fold (fun tenant c acc -> row_of_cell ~tolerance tenant c :: acc)
+  Int_table.fold (fun tenant c acc -> row_of_cell ~tolerance tenant c :: acc)
     cells []
   |> List.sort (fun a b -> compare a.tenant b.tenant)
 

@@ -1,3 +1,4 @@
+module Int_table = Dcsim.Int_table
 module Simtime = Dcsim.Simtime
 module Engine = Dcsim.Engine
 module Packet = Netcore.Packet

@@ -1,3 +1,4 @@
+module Int_table = Dcsim.Int_table
 module Fkey = Netcore.Fkey
 module Mask = Fkey.Pattern.Mask
 

@@ -1,5 +1,6 @@
 module Simtime = Dcsim.Simtime
 module Engine = Dcsim.Engine
+module Int_table = Dcsim.Int_table
 module Packet = Netcore.Packet
 module Fkey = Netcore.Fkey
 module Cost = Compute.Cost_params
@@ -140,7 +141,7 @@ type t = {
      key: a (tenant, ip) tuple cannot pack into a single 63-bit int
      (both are full 32-bit domains) and building the tuple per
      delivered packet was hot-path garbage. *)
-  vif_by_vm : (int, (int, vif) Hashtbl.t) Hashtbl.t;
+  vif_by_vm : vif Int_table.t Int_table.t;
   (* Scratch for batch grouping (flow -> group index); cleared and
      refilled per batch, only ever used synchronously. *)
   group_tbl : int Fkey.Table.t;
@@ -167,7 +168,7 @@ let create ?cache_config ~engine ~config ~host_pool ~server_ip ~transmit () =
     server_ip;
     transmit;
     vifs = [];
-    vif_by_vm = Hashtbl.create 16;
+    vif_by_vm = Int_table.create 16;
     group_tbl = Fkey.Table.create 64;
     stats = Flow_stats.create ();
     blocked = Fkey.Table.create 16;
@@ -186,20 +187,20 @@ let server_ip t = t.server_ip
 let vm_register t ~tenant ~ip vif =
   let tkey = Netcore.Tenant.to_int tenant in
   let inner =
-    match Hashtbl.find_opt t.vif_by_vm tkey with
+    match Int_table.find_opt t.vif_by_vm tkey with
     | Some inner -> inner
     | None ->
-        let inner = Hashtbl.create 8 in
-        Hashtbl.replace t.vif_by_vm tkey inner;
+        let inner = Int_table.create 8 in
+        Int_table.replace t.vif_by_vm tkey inner;
         inner
   in
-  Hashtbl.replace inner ((ip : Netcore.Ipv4.t) :> int) vif
+  Int_table.replace inner ((ip : Netcore.Ipv4.t) :> int) vif
 
-(* Allocation-free per-packet VM lookup: two [Hashtbl.find]s on int
+(* Allocation-free per-packet VM lookup: two [Int_table.find]s on int
    keys, raising [Not_found] past both tables. *)
 let vm_lookup t ~tenant ~ip =
-  Hashtbl.find
-    (Hashtbl.find t.vif_by_vm (Netcore.Tenant.to_int tenant))
+  Int_table.find
+    (Int_table.find t.vif_by_vm (Netcore.Tenant.to_int tenant))
     ((ip : Netcore.Ipv4.t) :> int)
 
 let is_blocked t flow = Fkey.Table.mem t.blocked flow
