@@ -1,6 +1,10 @@
 module Summary = struct
+  (* All fields are floats, so OCaml stores the record flat and [add]
+     updates it in place without boxing. The count is a float too: it
+     is exact up to 2^53 samples, so every derived value is
+     bit-identical to keeping it as an int. *)
   type t = {
-    mutable count : int;
+    mutable count : float;
     mutable sum : float;
     mutable mean : float;
     mutable m2 : float;
@@ -9,10 +13,10 @@ module Summary = struct
   }
 
   let create () =
-    { count = 0; sum = 0.; mean = 0.; m2 = 0.; min_v = infinity; max_v = neg_infinity }
+    { count = 0.; sum = 0.; mean = 0.; m2 = 0.; min_v = infinity; max_v = neg_infinity }
 
   let clear t =
-    t.count <- 0;
+    t.count <- 0.;
     t.sum <- 0.;
     t.mean <- 0.;
     t.m2 <- 0.;
@@ -20,23 +24,23 @@ module Summary = struct
     t.max_v <- neg_infinity
 
   let add t x =
-    t.count <- t.count + 1;
+    t.count <- t.count +. 1.;
     t.sum <- t.sum +. x;
     let delta = x -. t.mean in
-    t.mean <- t.mean +. (delta /. float_of_int t.count);
+    t.mean <- t.mean +. (delta /. t.count);
     t.m2 <- t.m2 +. (delta *. (x -. t.mean));
     if x < t.min_v then t.min_v <- x;
     if x > t.max_v then t.max_v <- x
 
-  let count t = t.count
+  let count t = int_of_float t.count
   let sum t = t.sum
-  let mean t = if t.count = 0 then 0. else t.mean
-  let variance t = if t.count < 2 then 0. else t.m2 /. float_of_int (t.count - 1)
+  let mean t = if t.count = 0. then 0. else t.mean
+  let variance t = if t.count < 2. then 0. else t.m2 /. (t.count -. 1.)
   let stddev t = sqrt (variance t)
   (* nan, not 0., when empty: a 0. would be indistinguishable from a
      real observed zero in snapshots of signed series. *)
-  let min t = if t.count = 0 then Float.nan else t.min_v
-  let max t = if t.count = 0 then Float.nan else t.max_v
+  let min t = if t.count = 0. then Float.nan else t.min_v
+  let max t = if t.count = 0. then Float.nan else t.max_v
 end
 
 module Histogram = struct

@@ -394,6 +394,25 @@ let obs_labeled_case ~smoke =
     ~params:[ ("series", 8.0); ("increments", float_of_int n) ]
     ~ops:n timed
 
+(* [Stats.Summary.add] runs on every ToR enqueue ([tor.qos.depth]).
+   The samples are boxed once, outside the timed loop, so the case
+   prices only what [add] itself allocates. *)
+let summary_add_case ~smoke =
+  let n = if smoke then 20_000 else 1_000_000 in
+  let samples = [ 3.0; 1.0; 4.0; 1.0; 5.0; 9.0; 2.0; 6.0 ] in
+  let s = Dcsim.Stats.Summary.create () in
+  let add x = Dcsim.Stats.Summary.add s x in
+  let run_scenario () =
+    for _ = 1 to n / 8 do
+      List.iter add samples
+    done
+  in
+  let min_time = if smoke then 0.02 else 0.2 in
+  let timed = time_runs ~min_time run_scenario in
+  mk_result ~scenario:"summary-add" ~unit_:"sample"
+    ~params:[ ("samples", float_of_int n) ]
+    ~ops:n timed
+
 let run_obs ~smoke =
   let null = open_out "/dev/null" in
   let results =
@@ -940,6 +959,8 @@ let alloc_check () =
          both be allocation-free. *)
       ("flight-record", zero_bar);
       ("labeled-counter-incr", zero_bar);
+      (* Summary.add on a flat float record updates in place. *)
+      ("summary-add", zero_bar);
       (* A flow launch allocates the packet record, the flow-key, and
          the pacing closure; a churn event the two-phase migration
          records and the abort timer. Measured ~121 and ~75 words. *)
@@ -959,6 +980,7 @@ let alloc_check () =
           ~offloaded:2_000;
         obs_flight_case ~smoke:true;
         obs_labeled_case ~smoke:true;
+        summary_add_case ~smoke:true;
         loadgen_launch_case ~smoke:true;
         loadgen_churn_case ~smoke:true;
         loadgen_curve_case ~smoke:true;
