@@ -120,38 +120,45 @@ let run_epoch t k =
                  let db =
                    float_of_int (Stdlib.max 0 (b2 - b1)) *. 8.0 /. gap_sec
                  in
-                 let record =
-                   match Hashtbl.find_opt t.records pattern with
-                   | Some r -> r
-                   | None ->
-                       let r =
-                         {
-                           rec_owner = owner;
-                           pps_history =
-                             Dcsim.Ring.create ~capacity:(history_limit t.config);
-                           bps_history =
-                             Dcsim.Ring.create ~capacity:(history_limit t.config);
-                           rec_destinations = [];
-                           dest_count = 0;
-                           rec_span = Obs.Span.none;
-                         }
-                       in
-                       if Obs.Trace.enabled () then
-                         r.rec_span <-
-                           Obs.Span.start ~now:(Engine.now t.engine)
-                             ~kind:"aggregate"
-                             ~name:(Obs.Trace.pattern_to_string pattern)
-                             ~track:t.me_name ();
-                       Hashtbl.replace t.records pattern r;
-                       r
-                 in
-                 if dp > 0.0 then add_destination record flow.Fkey.dst_ip;
-                 let pps0, bps0, _ =
-                   Option.value
-                     (Hashtbl.find_opt epoch_pps pattern)
-                     ~default:(0.0, 0.0, record)
-                 in
-                 Hashtbl.replace epoch_pps pattern (pps0 +. dp, bps0 +. db, record))
+                 (* A zero delta adds nothing to any sum, so an idle
+                    flow is skipped: it neither creates a record nor
+                    revives one that the last report dropped. *)
+                 if dp > 0.0 || db > 0.0 then begin
+                   let record =
+                     match Hashtbl.find_opt t.records pattern with
+                     | Some r -> r
+                     | None ->
+                         let r =
+                           {
+                             rec_owner = owner;
+                             pps_history =
+                               Dcsim.Ring.create
+                                 ~capacity:(history_limit t.config);
+                             bps_history =
+                               Dcsim.Ring.create
+                                 ~capacity:(history_limit t.config);
+                             rec_destinations = [];
+                             dest_count = 0;
+                             rec_span = Obs.Span.none;
+                           }
+                         in
+                         if Obs.Trace.enabled () then
+                           r.rec_span <-
+                             Obs.Span.start ~now:(Engine.now t.engine)
+                               ~kind:"aggregate"
+                               ~name:(Obs.Trace.pattern_to_string pattern)
+                               ~track:t.me_name ();
+                         Hashtbl.replace t.records pattern r;
+                         r
+                   in
+                   if dp > 0.0 then add_destination record flow.Fkey.dst_ip;
+                   let pps0, bps0, _ =
+                     Option.value
+                       (Hashtbl.find_opt epoch_pps pattern)
+                       ~default:(0.0, 0.0, record)
+                   in
+                   Hashtbl.replace epoch_pps pattern (pps0 +. dp, bps0 +. db, record)
+                 end)
            (t.poll ());
          (* Every known aggregate gets a sample this epoch — zero if it
             saw no traffic — so epochs_active means what it says. The
@@ -184,40 +191,40 @@ let median_active t ring =
   Dcsim.Stats.median_in_place t.scratch n
 
 let build_report t =
-  let entries =
-    Hashtbl.fold
-      (fun pattern record acc ->
-        let actives = Dcsim.Ring.count positive record.pps_history in
-        if actives = 0 then begin
-          (* The aggregate went quiet for a whole history window: close
-             its lifecycle span (no-op if already closed or untraced).
-             A later revival keeps the same record and is not re-opened. *)
-          Obs.Span.finish ~now:(Engine.now t.engine) record.rec_span
-            ~outcome:"idle";
-          record.rec_span <- Obs.Span.none;
-          acc
-        end
-        else begin
-          let latest ring = Option.value (Dcsim.Ring.latest ring) ~default:0.0 in
-          let entry =
-            {
-              pattern;
-              owner = record.rec_owner;
-              last_pps = latest record.pps_history;
-              last_bps = latest record.bps_history;
-              median_pps = median_active t record.pps_history;
-              median_bps = median_active t record.bps_history;
-              epochs_active = actives;
-              destinations = record.rec_destinations;
-            }
-          in
-          entry :: acc
-        end)
-      t.records []
-  in
+  let entries = ref [] in
+  (* Same bucket order as [Hashtbl.fold], so entries keep their order. *)
+  Hashtbl.filter_map_inplace
+    (fun pattern record ->
+      let actives = Dcsim.Ring.count positive record.pps_history in
+      if actives = 0 then begin
+        (* The aggregate went quiet for a whole history window: close
+           its lifecycle span (no-op if already closed or untraced) and
+           drop its record. A later revival starts a fresh record, just
+           as the aggregate's first packet did. *)
+        Obs.Span.finish ~now:(Engine.now t.engine) record.rec_span
+          ~outcome:"idle";
+        None
+      end
+      else begin
+        let latest ring = Option.value (Dcsim.Ring.latest ring) ~default:0.0 in
+        entries :=
+          {
+            pattern;
+            owner = record.rec_owner;
+            last_pps = latest record.pps_history;
+            last_bps = latest record.bps_history;
+            median_pps = median_active t record.pps_history;
+            median_bps = median_active t record.bps_history;
+            epochs_active = actives;
+            destinations = record.rec_destinations;
+          }
+          :: !entries;
+        Some record
+      end)
+    t.records;
   t.intervals <- t.intervals + 1;
   Obs.Metrics.incr m_reports;
-  { interval_index = t.intervals; entries }
+  { interval_index = t.intervals; entries = !entries }
 
 let start t =
   if not t.running then begin
@@ -239,5 +246,6 @@ let start t =
   end
 
 let stop t = t.running <- false
+let aggregates t = Hashtbl.length t.records
 let epochs_completed t = t.epochs
 let intervals_completed t = t.intervals

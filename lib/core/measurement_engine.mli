@@ -17,7 +17,12 @@
     polls (the flow was evicted from the exact-match cache and
     re-created) is clamped to a zero delta rather than reported as
     negative traffic; each such event increments the
-    [fastrak.me.counter_resets] metric. *)
+    [fastrak.me.counter_resets] metric.
+
+    State is bounded by the aggregates active within one history
+    window: an aggregate with no traffic for a whole window leaves the
+    reports and its record is freed, and a flow whose counters do not
+    move (an idle flow the datapath still reports) creates none. *)
 
 type owner = {
   tenant : Netcore.Tenant.id;
@@ -62,6 +67,12 @@ val stop : t -> unit
 
 val on_report : t -> (report -> unit) -> unit
 (** Called at the end of every control interval. *)
+
+val aggregates : t -> int
+(** Aggregates the engine holds a record for. A record is created at
+    the first epoch with traffic and dropped by the first report that
+    finds no active sample in its history window, so an idle aggregate
+    costs no memory. *)
 
 val epochs_completed : t -> int
 (** Total epochs finished since creation (not reset by {!stop}). *)

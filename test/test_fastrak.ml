@@ -502,6 +502,49 @@ let test_me_idle_flows_dropped_from_report () =
   | Some r -> checki "no active entries" 0 (List.length r.Fastrak.Measurement_engine.entries)
   | None -> Alcotest.fail "expected a report"
 
+let test_me_idle_record_freed () =
+  (* Traffic for the first 300 ms, then the counters freeze while the
+     flow stays in every poll (as an idle datapath flow does), then
+     traffic again from 1.5 s. Epochs take 140 ms (100 ms period plus
+     the 40 ms gap) and the history window is four epochs, so the
+     report at 840 ms sees a fully idle window. *)
+  let engine = Engine.create () in
+  let f =
+    Fkey.make ~src_ip:(Ipv4.of_string "10.7.0.1") ~dst_ip:(Ipv4.of_string "10.7.0.2")
+      ~src_port:10 ~dst_port:20 ~proto:Fkey.Tcp ~tenant
+  in
+  let packets = ref 0 in
+  Engine.every engine (Simtime.span_ms 1.0) (fun () ->
+      let now = Simtime.to_sec (Engine.now engine) in
+      if now < 0.3 || now >= 1.5 then packets := !packets + 2;
+      `Continue);
+  let me =
+    Fastrak.Measurement_engine.create ~engine ~config:me_config ~name:"t"
+      ~poll:(fun () -> [ (f, !packets, !packets * 100) ])
+      ~classify:(fun flow ->
+        Some
+          ( Fkey.Pattern.src_aggregate flow,
+            {
+              Fastrak.Measurement_engine.tenant;
+              vm_ip = flow.Fkey.src_ip;
+              direction = `Outgoing;
+            } ))
+  in
+  let entries = ref [] in
+  Fastrak.Measurement_engine.on_report me (fun r ->
+      entries := List.length r.Fastrak.Measurement_engine.entries :: !entries);
+  Fastrak.Measurement_engine.start me;
+  let records_at sec =
+    Engine.run ~until:(Simtime.of_sec sec) engine;
+    Fastrak.Measurement_engine.aggregates me
+  in
+  checki "active aggregate has a record" 1 (records_at 0.6);
+  checki "idle for a full window: record freed" 0 (records_at 0.9);
+  checki "idle flow still polled: no record" 0 (records_at 1.45);
+  checki "revived aggregate has a record" 1 (records_at 2.0);
+  Alcotest.check (Alcotest.list Alcotest.int) "report entries per interval"
+    [ 1; 1; 0; 0; 0; 1; 1 ] (List.rev !entries)
+
 let test_me_counter_reset_clamped () =
   (* A flow evicted from the exact-match cache and re-created between
      polls restarts its kernel counters from zero; the resulting
@@ -749,6 +792,7 @@ let suite =
       test_decide_scratch_reuse_matches_baseline;
     t "measurement engine pps" test_me_measures_pps;
     t "measurement engine idle flows" test_me_idle_flows_dropped_from_report;
+    t "measurement engine frees idle records" test_me_idle_record_freed;
     t "measurement engine counter reset" test_me_counter_reset_clamped;
     t "demand profile update/clone" test_profile_update_and_clone;
     t "rule manager offloads hot flow" test_rule_manager_offloads_hot_flow;
