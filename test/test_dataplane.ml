@@ -330,6 +330,108 @@ let test_qos_strict_priority () =
     [ 9000; 2; 3; 1 ] (List.rev !order);
   checki "sent" 4 (Tor.Qos_queue.packets_sent q)
 
+(* The multiplexer pulls from its link: the link calls it back when
+   the wire frees, so the link's own FIFO stays empty and every
+   departure is a strict-priority choice. *)
+
+let sport_of (p : Packet.t) = p.Packet.flow.Fkey.src_port
+
+let test_qos_link_never_queues () =
+  let engine = Engine.create () in
+  let delivered = ref 0 in
+  let link_queue_max = ref 0 in
+  let qos_backlog_max = ref 0 in
+  let link_ref = ref None in
+  let q_ref = ref None in
+  let note () =
+    Option.iter
+      (fun l ->
+        link_queue_max :=
+          Stdlib.max !link_queue_max (Fabric.Link.queue_length l))
+      !link_ref;
+    Option.iter
+      (fun q ->
+        qos_backlog_max :=
+          Stdlib.max !qos_backlog_max (Tor.Qos_queue.total_queued q))
+      !q_ref
+  in
+  let link =
+    Fabric.Link.create ~engine ~name:"l" ~gbps:10.0
+      ~latency:(Simtime.span_us 2.0)
+      ~deliver:(fun _ ->
+        incr delivered;
+        note ())
+      ()
+  in
+  let q = Tor.Qos_queue.create ~classes:8 ~link in
+  link_ref := Some link;
+  q_ref := Some q;
+  (* Two packets every 300 ns: about twice what the wire drains. *)
+  for i = 0 to 199 do
+    ignore
+      (Engine.at engine (Simtime.of_ns (i * 300)) (fun () ->
+           Tor.Qos_queue.enqueue q ~queue:(i mod 8) (pkt (flow ~sport:i ()));
+           Tor.Qos_queue.enqueue q ~queue:(i * 3 mod 8)
+             (pkt ~payload:1500 (flow ~sport:(1000 + i) ()));
+           note ()))
+  done;
+  Engine.every engine (Simtime.span_ns 100) (fun () ->
+      note ();
+      if !delivered < 400 then `Continue else `Stop);
+  Engine.run engine;
+  checki "delivered" 400 !delivered;
+  checki "sent" 400 (Tor.Qos_queue.packets_sent q);
+  checkb "backlog built up in the QoS queues" true (!qos_backlog_max > 50);
+  checki "link never queued" 0 !link_queue_max
+
+let test_qos_priority_back_to_back () =
+  let engine = Engine.create () in
+  let order = ref [] in
+  let link =
+    Fabric.Link.create ~engine ~name:"l" ~gbps:10.0 ~latency:Simtime.span_zero
+      ~deliver:(fun p -> order := sport_of p :: !order)
+      ()
+  in
+  let q = Tor.Qos_queue.create ~classes:8 ~link in
+  let enqueue queue sport = Tor.Qos_queue.enqueue q ~queue (pkt (flow ~sport ())) in
+  (* One instant, back to back: the first packet takes the idle wire,
+     everything after it waits for the pull. *)
+  List.iter (enqueue 0) [ 0; 1; 2; 3 ];
+  List.iter (enqueue 7) [ 10; 11; 12 ];
+  List.iter (enqueue 3) [ 20; 21 ];
+  (* Halfway through the third departure (11), a class-5 burst: it
+     overtakes everything still waiting below class 7. *)
+  let serialization =
+    Simtime.span_of_bytes_at_rate
+      ~bytes_len:(Fabric.Link.wire_bytes (pkt (flow ())))
+      ~gbps:10.0
+  in
+  ignore
+    (Engine.at engine
+       (Simtime.of_ns (Simtime.span_to_ns serialization * 5 / 2))
+       (fun () -> List.iter (enqueue 5) [ 30; 31 ]));
+  Engine.run engine;
+  Alcotest.check (Alcotest.list Alcotest.int) "departure order"
+    [ 0; 10; 11; 12; 30; 31; 20; 21; 1; 2; 3 ]
+    (List.rev !order)
+
+let test_qos_no_timer_events () =
+  let engine = Engine.create () in
+  let link =
+    Fabric.Link.create ~engine ~name:"l" ~gbps:10.0
+      ~latency:(Simtime.span_us 1.0) ~deliver:ignore ()
+  in
+  let q = Tor.Qos_queue.create ~classes:8 ~link in
+  let n = 50 in
+  for i = 0 to n - 1 do
+    Tor.Qos_queue.enqueue q ~queue:(i mod 8) (pkt (flow ~sport:i ()))
+  done;
+  Engine.run engine;
+  (* One wire completion and one delivery per packet; the multiplexer
+     schedules nothing of its own. *)
+  checki "engine events" (2 * n) (Engine.events_processed engine);
+  checki "sent" n (Tor.Qos_queue.packets_sent q)
+
 (* --- End-to-end through a Testbed rack --- *)
 
 let two_vm_testbed ?(config = Compute.Cost_params.baseline) () =
@@ -701,6 +803,9 @@ let suite =
     t "vrf tunnel refcount" test_vrf_tunnel_refcount;
     QCheck_alcotest.to_alcotest prop_vrf_model;
     t "qos strict priority" test_qos_strict_priority;
+    t "qos link never queues" test_qos_link_never_queues;
+    t "qos priority back to back" test_qos_priority_back_to_back;
+    t "qos schedules no timer" test_qos_no_timer_events;
     t "software path end-to-end" test_software_path_delivery;
     t "hardware path end-to-end" test_hardware_path_delivery;
     t "hardware path default deny" test_hardware_path_default_deny;
