@@ -339,33 +339,19 @@ let sport_of (p : Packet.t) = p.Packet.flow.Fkey.src_port
 let test_qos_link_never_queues () =
   let engine = Engine.create () in
   let delivered = ref 0 in
-  let link_queue_max = ref 0 in
-  let qos_backlog_max = ref 0 in
-  let link_ref = ref None in
-  let q_ref = ref None in
-  let note () =
-    Option.iter
-      (fun l ->
-        link_queue_max :=
-          Stdlib.max !link_queue_max (Fabric.Link.queue_length l))
-      !link_ref;
-    Option.iter
-      (fun q ->
-        qos_backlog_max :=
-          Stdlib.max !qos_backlog_max (Tor.Qos_queue.total_queued q))
-      !q_ref
-  in
   let link =
     Fabric.Link.create ~engine ~name:"l" ~gbps:10.0
       ~latency:(Simtime.span_us 2.0)
-      ~deliver:(fun _ ->
-        incr delivered;
-        note ())
+      ~deliver:(fun _ -> incr delivered)
       ()
   in
   let q = Tor.Qos_queue.create ~classes:8 ~link in
-  link_ref := Some link;
-  q_ref := Some q;
+  let link_queue_max = ref 0 in
+  let qos_backlog_max = ref 0 in
+  let note () =
+    link_queue_max := Stdlib.max !link_queue_max (Fabric.Link.queue_length link);
+    qos_backlog_max := Stdlib.max !qos_backlog_max (Tor.Qos_queue.total_queued q)
+  in
   (* Two packets every 300 ns: about twice what the wire drains. *)
   for i = 0 to 199 do
     ignore
