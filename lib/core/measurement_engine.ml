@@ -29,9 +29,6 @@ type record = {
   bps_history : Dcsim.Ring.t;
   mutable rec_destinations : Netcore.Ipv4.t list;  (* most recent first, deduped *)
   mutable dest_count : int;
-  (* Aggregate lifecycle span: first classified packet -> the first
-     report interval with no active samples ("idle"). *)
-  mutable rec_span : Obs.Span.id;
 }
 
 type t = {
@@ -41,6 +38,13 @@ type t = {
   poll : unit -> (Fkey.t * int * int) list;
   classify : Fkey.t -> (Fkey.Pattern.t * owner) option;
   records : (Fkey.Pattern.t, record) Hashtbl.t;
+  (* Aggregate lifecycle spans, filled only while tracing: every
+     pattern ever classified maps to its span (Span.none once closed),
+     from its first classified packet to the first report interval with
+     no active sample ("idle"); a revival is not re-opened. Kept apart
+     from [records], which are freed when idle, so the trace does not
+     depend on when a record is dropped. *)
+  spans : (Fkey.Pattern.t, Obs.Span.id) Hashtbl.t;
   (* Scratch for interval medians, grown to the history capacity once;
      reused across every aggregate so report building allocates no
      intermediate filtered lists. *)
@@ -66,6 +70,7 @@ let create ~engine ~config ~name ~poll ~classify =
     poll;
     classify;
     records = Hashtbl.create 64;
+    spans = Hashtbl.create 64;
     scratch = Array.make (history_limit config) 0.0;
     running = false;
     epochs = 0;
@@ -105,6 +110,13 @@ let run_epoch t k =
              match t.classify flow with
              | None -> ()
              | Some (pattern, owner) ->
+                 if Obs.Trace.enabled () && not (Hashtbl.mem t.spans pattern)
+                 then
+                   Hashtbl.replace t.spans pattern
+                     (Obs.Span.start ~now:(Engine.now t.engine)
+                        ~kind:"aggregate"
+                        ~name:(Obs.Trace.pattern_to_string pattern)
+                        ~track:t.me_name ());
                  let p1, b1 =
                    match Fkey.Table.find_opt snap1 flow with
                    | Some v -> v
@@ -139,15 +151,8 @@ let run_epoch t k =
                                  ~capacity:(history_limit t.config);
                              rec_destinations = [];
                              dest_count = 0;
-                             rec_span = Obs.Span.none;
                            }
                          in
-                         if Obs.Trace.enabled () then
-                           r.rec_span <-
-                             Obs.Span.start ~now:(Engine.now t.engine)
-                               ~kind:"aggregate"
-                               ~name:(Obs.Trace.pattern_to_string pattern)
-                               ~track:t.me_name ();
                          Hashtbl.replace t.records pattern r;
                          r
                    in
@@ -191,20 +196,34 @@ let median_active t ring =
   Dcsim.Stats.median_in_place t.scratch n
 
 let build_report t =
+  (* Close the span of every aggregate with no active sample in its
+     history window: one whose record is absent (never active, or
+     dropped by an earlier report, whose span is closed already) or
+     holds only zero samples. Samples before a record was created or
+     after it was dropped are all zero, so this is the set a record
+     kept for every pattern ever classified would find idle. *)
+  if Hashtbl.length t.spans > 0 then
+    Hashtbl.filter_map_inplace
+      (fun pattern span ->
+        if not (Obs.Span.is_live span) then Some span
+        else
+          match Hashtbl.find_opt t.records pattern with
+          | Some record when Dcsim.Ring.count positive record.pps_history > 0 ->
+              Some span
+          | Some _ | None ->
+              Obs.Span.finish ~now:(Engine.now t.engine) span ~outcome:"idle";
+              Some Obs.Span.none)
+      t.spans;
   let entries = ref [] in
   (* Same bucket order as [Hashtbl.fold], so entries keep their order. *)
   Hashtbl.filter_map_inplace
     (fun pattern record ->
       let actives = Dcsim.Ring.count positive record.pps_history in
-      if actives = 0 then begin
-        (* The aggregate went quiet for a whole history window: close
-           its lifecycle span (no-op if already closed or untraced) and
-           drop its record. A later revival starts a fresh record, just
-           as the aggregate's first packet did. *)
-        Obs.Span.finish ~now:(Engine.now t.engine) record.rec_span
-          ~outcome:"idle";
+      if actives = 0 then
+        (* The aggregate went quiet for a whole history window: drop
+           its record. A later revival starts a fresh record, just as
+           the aggregate's first packet did. *)
         None
-      end
       else begin
         let latest ring = Option.value (Dcsim.Ring.latest ring) ~default:0.0 in
         entries :=

@@ -22,7 +22,10 @@
     State is bounded by the aggregates active within one history
     window: an aggregate with no traffic for a whole window leaves the
     reports and its record is freed, and a flow whose counters do not
-    move (an idle flow the datapath still reports) creates none. *)
+    move (an idle flow the datapath still reports) creates none. While
+    tracing, the engine also keeps one span id per pattern ever
+    classified: an aggregate's [aggregate] span runs from its first
+    classified packet to its first idle report and is not re-opened. *)
 
 type owner = {
   tenant : Netcore.Tenant.id;

@@ -545,6 +545,63 @@ let test_me_idle_record_freed () =
   Alcotest.check (Alcotest.list Alcotest.int) "report entries per interval"
     [ 1; 1; 0; 0; 0; 1; 1 ] (List.rev !entries)
 
+let test_me_aggregate_span_lifecycle () =
+  (* Same timing as [test_me_idle_record_freed], plus a second flow
+     whose counters never move. Each aggregate's span opens at its
+     first classified packet and closes at the first report with no
+     active sample; freeing and re-creating the record does not
+     re-open it. *)
+  let engine = Engine.create () in
+  let flow src =
+    Fkey.make ~src_ip:(Ipv4.of_string src) ~dst_ip:(Ipv4.of_string "10.7.0.9")
+      ~src_port:10 ~dst_port:20 ~proto:Fkey.Tcp ~tenant
+  in
+  let active = flow "10.7.0.1" and idle = flow "10.7.0.2" in
+  let packets = ref 0 in
+  Engine.every engine (Simtime.span_ms 1.0) (fun () ->
+      let now = Simtime.to_sec (Engine.now engine) in
+      if now < 0.3 || now >= 1.5 then packets := !packets + 2;
+      `Continue);
+  let me =
+    Fastrak.Measurement_engine.create ~engine ~config:me_config ~name:"t"
+      ~poll:(fun () -> [ (active, !packets, !packets * 100); (idle, 5, 500) ])
+      ~classify:(fun flow ->
+        Some
+          ( Fkey.Pattern.src_aggregate flow,
+            {
+              Fastrak.Measurement_engine.tenant;
+              vm_ip = flow.Fkey.src_ip;
+              direction = `Outgoing;
+            } ))
+  in
+  let name_of = Hashtbl.create 4 and events = ref [] in
+  Obs.Trace.use_callback (fun now ev ->
+      let ms = int_of_float (Float.round (Simtime.to_sec now *. 1000.0)) in
+      match ev with
+      | Obs.Trace.Span_begin { span; kind = "aggregate"; name; _ } ->
+          Hashtbl.replace name_of span name;
+          events := Printf.sprintf "begin %s @%d" name ms :: !events
+      | Obs.Trace.Span_end { span; outcome; _ } -> (
+          match Hashtbl.find_opt name_of span with
+          | Some name ->
+              events := Printf.sprintf "%s %s @%d" outcome name ms :: !events
+          | None -> ())
+      | _ -> ());
+  Fun.protect ~finally:Obs.Trace.disable (fun () ->
+      Fastrak.Measurement_engine.start me;
+      Engine.run ~until:(Simtime.of_sec 2.5) engine);
+  let name f = Obs.Trace.pattern_to_string (Fkey.Pattern.src_aggregate f) in
+  Alcotest.check
+    (Alcotest.list Alcotest.string)
+    "aggregate spans"
+    [
+      "begin " ^ name active ^ " @140";
+      "begin " ^ name idle ^ " @140";
+      "idle " ^ name idle ^ " @280";
+      "idle " ^ name active ^ " @840";
+    ]
+    (List.rev !events)
+
 let test_me_counter_reset_clamped () =
   (* A flow evicted from the exact-match cache and re-created between
      polls restarts its kernel counters from zero; the resulting
@@ -793,6 +850,8 @@ let suite =
     t "measurement engine pps" test_me_measures_pps;
     t "measurement engine idle flows" test_me_idle_flows_dropped_from_report;
     t "measurement engine frees idle records" test_me_idle_record_freed;
+    t "measurement engine aggregate span lifecycle"
+      test_me_aggregate_span_lifecycle;
     t "measurement engine counter reset" test_me_counter_reset_clamped;
     t "demand profile update/clone" test_profile_update_and_clone;
     t "rule manager offloads hot flow" test_rule_manager_offloads_hot_flow;
