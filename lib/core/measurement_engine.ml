@@ -29,13 +29,16 @@ type record = {
   bps_history : Dcsim.Ring.t;
   mutable rec_destinations : Netcore.Ipv4.t list;  (* most recent first, deduped *)
   mutable dest_count : int;
+  (* This epoch's sums, pushed as its sample and zeroed at epoch end. *)
+  mutable epoch_pps : float;
+  mutable epoch_bps : float;
 }
 
 type t = {
   engine : Engine.t;
   config : Config.t;
   me_name : string;
-  poll : unit -> (Fkey.t * int * int) list;
+  stats : Vswitch.Flow_stats.t;
   classify : Fkey.t -> (Fkey.Pattern.t * owner) option;
   records : (Fkey.Pattern.t, record) Hashtbl.t;
   (* Aggregate lifecycle spans, filled only while tracing: every
@@ -57,17 +60,16 @@ type t = {
 
 let m_epochs = Obs.Metrics.counter "fastrak.me.epochs"
 let m_reports = Obs.Metrics.counter "fastrak.me.reports"
-let m_counter_resets = Obs.Metrics.counter "fastrak.me.counter_resets"
 
 let history_limit config =
   Stdlib.max 1 (config.Config.epochs_per_interval * config.Config.history_intervals)
 
-let create ~engine ~config ~name ~poll ~classify =
+let create ~engine ~config ~name ~stats ~classify =
   {
     engine;
     config;
     me_name = name;
-    poll;
+    stats;
     classify;
     records = Hashtbl.create 64;
     spans = Hashtbl.create 64;
@@ -89,95 +91,68 @@ let add_destination record dst =
     record.dest_count <- record.dest_count + 1
   end
 
-(* One epoch: snapshot counters, snapshot again after poll_gap, fold the
-   deltas into per-aggregate pps/bps samples. *)
+let record_for t pattern owner =
+  match Hashtbl.find_opt t.records pattern with
+  | Some r -> r
+  | None ->
+      let r =
+        {
+          rec_owner = owner;
+          pps_history = Dcsim.Ring.create ~capacity:(history_limit t.config);
+          bps_history = Dcsim.Ring.create ~capacity:(history_limit t.config);
+          rec_destinations = [];
+          dest_count = 0;
+          epoch_pps = 0.0;
+          epoch_bps = 0.0;
+        }
+      in
+      Hashtbl.replace t.records pattern r;
+      r
+
+(* One flow's counter delta over the poll gap, folded into its
+   aggregate's epoch sums. *)
+let fold_delta t ~gap_sec flow ~packets ~bytes =
+  let tracing = Obs.Trace.enabled () in
+  (* A zero delta adds nothing to any sum, so an idle flow is skipped:
+     it neither creates a record nor revives one that the last report
+     dropped. It is still classified while tracing, because a pattern's
+     span opens at its first classification. *)
+  if packets > 0 || bytes > 0 || tracing then
+    match t.classify flow with
+    | None -> ()
+    | Some (pattern, owner) ->
+        if tracing && not (Hashtbl.mem t.spans pattern) then
+          Hashtbl.replace t.spans pattern
+            (Obs.Span.start ~now:(Engine.now t.engine) ~kind:"aggregate"
+               ~name:(Obs.Trace.pattern_to_string pattern)
+               ~track:t.me_name ());
+        let dp = float_of_int packets /. gap_sec in
+        let db = float_of_int bytes *. 8.0 /. gap_sec in
+        if dp > 0.0 || db > 0.0 then begin
+          let record = record_for t pattern owner in
+          if dp > 0.0 then add_destination record flow.Fkey.dst_ip;
+          record.epoch_pps <- record.epoch_pps +. dp;
+          record.epoch_bps <- record.epoch_bps +. db
+        end
+
+(* One epoch: mark the counters, and after poll_gap fold each flow's
+   delta since the mark into per-aggregate pps/bps samples. *)
 let run_epoch t k =
-  let snapshot () =
-    let table = Fkey.Table.create 64 in
-    List.iter (fun (flow, p, b) -> Fkey.Table.replace table flow (p, b)) (t.poll ());
-    table
-  in
-  let snap1 = snapshot () in
+  Vswitch.Flow_stats.mark t.stats;
   ignore
     (Engine.after t.engine t.config.Config.poll_gap (fun () ->
          let gap_sec = Simtime.span_to_sec t.config.Config.poll_gap in
-         (* Aggregate deltas by pattern. *)
-         let epoch_pps : (Fkey.Pattern.t, float * float * record) Hashtbl.t =
-           Hashtbl.create 32
-         in
-         List.iter
-           (fun (flow, p2, b2) ->
-             match t.classify flow with
-             | None -> ()
-             | Some (pattern, owner) ->
-                 if Obs.Trace.enabled () && not (Hashtbl.mem t.spans pattern)
-                 then
-                   Hashtbl.replace t.spans pattern
-                     (Obs.Span.start ~now:(Engine.now t.engine)
-                        ~kind:"aggregate"
-                        ~name:(Obs.Trace.pattern_to_string pattern)
-                        ~track:t.me_name ());
-                 let p1, b1 =
-                   match Fkey.Table.find_opt snap1 flow with
-                   | Some v -> v
-                   | None -> (0, 0)
-                 in
-                 (* Kernel counters jump backwards when a flow is
-                    evicted from the exact-match cache and re-created
-                    between the two polls; a negative delta is a reset
-                    artefact, not negative traffic. Clamp at zero so
-                    the sample cannot poison the interval medians. *)
-                 if p2 < p1 || b2 < b1 then Obs.Metrics.incr m_counter_resets;
-                 let dp = float_of_int (Stdlib.max 0 (p2 - p1)) /. gap_sec in
-                 let db =
-                   float_of_int (Stdlib.max 0 (b2 - b1)) *. 8.0 /. gap_sec
-                 in
-                 (* A zero delta adds nothing to any sum, so an idle
-                    flow is skipped: it neither creates a record nor
-                    revives one that the last report dropped. *)
-                 if dp > 0.0 || db > 0.0 then begin
-                   let record =
-                     match Hashtbl.find_opt t.records pattern with
-                     | Some r -> r
-                     | None ->
-                         let r =
-                           {
-                             rec_owner = owner;
-                             pps_history =
-                               Dcsim.Ring.create
-                                 ~capacity:(history_limit t.config);
-                             bps_history =
-                               Dcsim.Ring.create
-                                 ~capacity:(history_limit t.config);
-                             rec_destinations = [];
-                             dest_count = 0;
-                           }
-                         in
-                         Hashtbl.replace t.records pattern r;
-                         r
-                   in
-                   if dp > 0.0 then add_destination record flow.Fkey.dst_ip;
-                   let pps0, bps0, _ =
-                     Option.value
-                       (Hashtbl.find_opt epoch_pps pattern)
-                       ~default:(0.0, 0.0, record)
-                   in
-                   Hashtbl.replace epoch_pps pattern (pps0 +. dp, bps0 +. db, record)
-                 end)
-           (t.poll ());
+         Vswitch.Flow_stats.read_marks t.stats (fold_delta t ~gap_sec);
          (* Every known aggregate gets a sample this epoch — zero if it
             saw no traffic — so epochs_active means what it says. The
             rings overwrite their oldest sample in place: no per-epoch
             trim, no history allocation. *)
          Hashtbl.iter
-           (fun pattern record ->
-             let pps, bps =
-               match Hashtbl.find_opt epoch_pps pattern with
-               | Some (p, b, _) -> (p, b)
-               | None -> (0.0, 0.0)
-             in
-             Dcsim.Ring.push record.pps_history pps;
-             Dcsim.Ring.push record.bps_history bps)
+           (fun _ record ->
+             Dcsim.Ring.push record.pps_history record.epoch_pps;
+             Dcsim.Ring.push record.bps_history record.epoch_bps;
+             record.epoch_pps <- 0.0;
+             record.epoch_bps <- 0.0)
            t.records;
          t.epochs <- t.epochs + 1;
          Obs.Metrics.incr m_epochs;

@@ -191,7 +191,7 @@ let create ~engine ~config ~tor ~lookup_vm ?(tenant_priority = fun _ -> 1.0)
   in
   let tor_me =
     Measurement_engine.create ~engine ~config ~name:"tor.me"
-      ~poll:(fun () -> Tor.Tor_switch.offloaded_flows tor)
+      ~stats:(Tor.Tor_switch.offloaded_stats tor)
       ~classify
   in
   let t =
