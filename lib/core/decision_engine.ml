@@ -19,13 +19,22 @@ type decision = {
 (* Group candidates into units the knapsack treats atomically: singleton
    units for ungrouped candidates, one unit per all-or-none group. A
    unit's score is its best member's (groups ride on their hottest
-   flow), its cost the sum. *)
-type unit_ = { members : candidate list; unit_score : float; unit_cost : int }
+   flow), its cost the sum, and its key its least member pattern: equal
+   scores rank by key, so the order candidates arrive in (hash-table
+   fold order, upstream) cannot pick the winner of a tie. *)
+type unit_ = {
+  members : candidate list;
+  unit_score : float;
+  unit_cost : int;
+  unit_key : Fkey.Pattern.t;
+}
+
+let least_pattern p q = if Fkey.Pattern.compare q p < 0 then q else p
 
 (* Units are built in first-seen candidate order (a group unit sits at
-   its first member's position) so that ranking ties break the same way
-   in the list baseline and the array-based [decide] below — the old
-   [Hashtbl.fold] order was nondeterministic under hash changes. Group
+   its first member's position), which breaks the ties left after the
+   key (duplicate patterns) the same way in the list baseline and the
+   array-based [decide] below. Group
    member lists are built by prepending, i.e. in reverse candidate
    order, which downstream output ordering depends on. *)
 let build_units candidates =
@@ -49,7 +58,12 @@ let build_units candidates =
   List.map
     (function
       | `Single c ->
-          { members = [ c ]; unit_score = c.score; unit_cost = c.tcam_entries }
+          {
+            members = [ c ];
+            unit_score = c.score;
+            unit_cost = c.tcam_entries;
+            unit_key = c.pattern;
+          }
       | `Group r ->
           let members = !r in
           (* Fold from [neg_infinity], not 0.0: a group whose members
@@ -61,7 +75,12 @@ let build_units candidates =
           let unit_cost =
             List.fold_left (fun s c -> s + c.tcam_entries) 0 members
           in
-          { members; unit_score; unit_cost })
+          let unit_key =
+            List.fold_left
+              (fun k c -> least_pattern k c.pattern)
+              (List.hd members).pattern members
+          in
+          { members; unit_score; unit_cost; unit_key })
     slots
 
 let m_calls = Obs.Metrics.counter "fastrak.decide.calls"
@@ -86,7 +105,10 @@ let select_units ~budget ~count_cap units =
 let ranked_units candidates ~min_score =
   let eligible = List.filter (fun c -> c.score >= min_score) candidates in
   List.stable_sort
-    (fun a b -> Float.compare b.unit_score a.unit_score)
+    (fun a b ->
+      match Float.compare b.unit_score a.unit_score with
+      | 0 -> Fkey.Pattern.compare a.unit_key b.unit_key
+      | c -> c)
     (build_units eligible)
 
 (* Pooled scratch state for [decide]. All per-call working storage —
@@ -101,6 +123,7 @@ type scratch = {
   mutable e_len : int;
   mutable u_score : float array;  (* per-unit: best member score *)
   mutable u_cost : int array;  (* per-unit: summed tcam entries *)
+  mutable u_key : Fkey.Pattern.t array;  (* per-unit: least member pattern *)
   mutable u_head : int array;  (* per-unit: first member (elig index) *)
   mutable u_tail : int array;  (* per-unit: last member (elig index) *)
   mutable u_count : int array;  (* per-unit: member count *)
@@ -128,6 +151,7 @@ let create_scratch () =
     e_len = 0;
     u_score = Array.make 64 0.0;
     u_cost = Array.make 64 0;
+    u_key = Array.make 64 Fkey.Pattern.any;
     u_head = Array.make 64 (-1);
     u_tail = Array.make 64 (-1);
     u_count = Array.make 64 0;
@@ -151,10 +175,11 @@ let push_elig s c =
   s.e_len <- e + 1;
   e
 
-let push_unit s ~score ~cost ~head =
+let push_unit s ~score ~cost ~key ~head =
   (if s.u_len = Array.length s.u_score then begin
      s.u_score <- Array.append s.u_score (Array.make s.u_len 0.0);
      s.u_cost <- grow_int s.u_cost;
+     s.u_key <- Array.append s.u_key (Array.make s.u_len Fkey.Pattern.any);
      s.u_head <- grow_int s.u_head;
      s.u_tail <- grow_int s.u_tail;
      s.u_count <- grow_int s.u_count;
@@ -163,6 +188,7 @@ let push_unit s ~score ~cost ~head =
   let u = s.u_len in
   s.u_score.(u) <- score;
   s.u_cost.(u) <- cost;
+  s.u_key.(u) <- key;
   s.u_head.(u) <- head;
   s.u_tail.(u) <- head;
   s.u_count.(u) <- 1;
@@ -170,15 +196,18 @@ let push_unit s ~score ~cost ~head =
   u
 
 (* In-place heapsort of [s.order]'s first [n] slots: descending unit
-   score, ties by ascending unit id (= first-seen order), i.e. exactly
-   the [List.stable_sort] rank order of the list baseline — without
-   allocating the sorted list. *)
+   score, ties by ascending unit key, then by ascending unit id (=
+   first-seen order), i.e. exactly the [List.stable_sort] rank order of
+   the list baseline — without allocating the sorted list. *)
 let sort_order s n =
   let ord = s.order in
   (* [gt a b]: unit [a] sorts strictly after unit [b]. *)
   let gt a b =
     s.u_score.(a) < s.u_score.(b)
-    || (s.u_score.(a) = s.u_score.(b) && a > b)
+    || s.u_score.(a) = s.u_score.(b)
+       &&
+       let c = Fkey.Pattern.compare s.u_key.(a) s.u_key.(b) in
+       c > 0 || (c = 0 && a > b)
   in
   let sift_down start len =
     let root = ref start in
@@ -238,7 +267,10 @@ let decide ?scratch ~candidates ~offloaded ~tcam_free ?(max_offloads = None)
       if c.score >= min_score then begin
         let e = push_elig s c in
         match c.group with
-        | None -> ignore (push_unit s ~score:c.score ~cost:c.tcam_entries ~head:e)
+        | None ->
+            ignore
+              (push_unit s ~score:c.score ~cost:c.tcam_entries ~key:c.pattern
+                 ~head:e)
         | Some g -> (
             match Hashtbl.find s.group_unit g with
             | u ->
@@ -246,9 +278,13 @@ let decide ?scratch ~candidates ~offloaded ~tcam_free ?(max_offloads = None)
                 s.u_tail.(u) <- e;
                 s.u_count.(u) <- s.u_count.(u) + 1;
                 s.u_cost.(u) <- s.u_cost.(u) + c.tcam_entries;
+                s.u_key.(u) <- least_pattern s.u_key.(u) c.pattern;
                 if c.score > s.u_score.(u) then s.u_score.(u) <- c.score
             | exception Not_found ->
-                let u = push_unit s ~score:c.score ~cost:c.tcam_entries ~head:e in
+                let u =
+                  push_unit s ~score:c.score ~cost:c.tcam_entries
+                    ~key:c.pattern ~head:e
+                in
                 Hashtbl.replace s.group_unit g u)
       end)
     candidates;
