@@ -67,7 +67,9 @@ let add_vm t ~vm ~policy ~sriov =
         Nic.Sriov.allocate_vf t.sriov ~mac:(Vm.mac vm)
           ~vlan:(Netcore.Tenant.to_vlan (Vm.tenant vm))
           ~tenant:(Vm.tenant vm) ~vm_ip:(Vm.ip vm)
-          ~deliver:(fun pkt -> Vm.deliver vm pkt)
+          ~deliver:(fun pkt ->
+            if Packet.ends_flow pkt then Vswitch.Ovs.retire_flow t.ovs pkt.Packet.flow;
+            Vm.deliver vm pkt)
       with
       | Ok vf -> Some vf
       | Error `No_vfs_left -> invalid_arg "Server.add_vm: out of VFs"
@@ -77,7 +79,13 @@ let add_vm t ~vm ~policy ~sriov =
   let vif_tx pkt = Vswitch.Ovs.transmit_from_vif t.ovs vif pkt in
   let vf_tx =
     match vf with
-    | Some vf -> fun pkt -> Nic.Sriov.transmit_from_vf vf pkt
+    | Some vf ->
+        fun pkt ->
+          (* A flow that ends over the express lane may still hold
+             vswitch state from before its offload; retire it here,
+             as a last packet through the VIF would. *)
+          if Packet.ends_flow pkt then Vswitch.Ovs.retire_flow t.ovs pkt.Packet.flow;
+          Nic.Sriov.transmit_from_vf vf pkt
     | None -> vif_tx
   in
   let bonding = Bonding.create ~vif_tx ~vf_tx in

@@ -87,6 +87,7 @@ let register_flow_handler t flow handler =
   Fkey.Table.replace t.flow_handlers flow handler
 
 let unregister_flow_handler t flow = Fkey.Table.remove t.flow_handlers flow
+let flow_handler_count t = Fkey.Table.length t.flow_handlers
 let register_listener t ~port handler = Hashtbl.replace t.listeners port handler
 
 let cpus_used t ~over =

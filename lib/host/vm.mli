@@ -43,6 +43,9 @@ val register_flow_handler : t -> Netcore.Fkey.t -> (Netcore.Packet.t -> unit) ->
 (** Exact-match delivery (connection sockets). *)
 
 val unregister_flow_handler : t -> Netcore.Fkey.t -> unit
+(** Workloads call this when their flow finishes. *)
+
+val flow_handler_count : t -> int
 
 val register_listener : t -> port:int -> (Netcore.Packet.t -> unit) -> unit
 (** Port-level delivery for packets with no exact handler (server

@@ -31,6 +31,8 @@ let data_packet ~now ~flow ~payload = create ~now ~flow ~payload ()
 
 let copy t = { t with encaps = t.encaps }
 
+let ends_flow t = match t.l4 with App { fin; _ } -> fin | Plain | Tcp_seg _ -> false
+
 let push_encap t encap = t.encaps <- encap :: t.encaps
 
 let pop_encap t =

@@ -51,6 +51,10 @@ val copy : t -> t
     (fault injection) cannot corrupt the original's encap state. Keeps
     the original's [uid] — it is the same logical packet on the wire. *)
 
+val ends_flow : t -> bool
+(** The packet is its flow's last: it carries [App { fin = true }].
+    The datapath retires the flow's state once it has gone by. *)
+
 val push_encap : t -> encap -> unit
 
 val pop_encap : t -> encap option

@@ -154,6 +154,7 @@ let m_misses = Obs.Metrics.counter "vswitch.cache.misses"
 let m_invalidations = Obs.Metrics.counter "vswitch.cache.invalidations"
 let m_evictions = Obs.Metrics.counter "vswitch.cache.evictions"
 let m_revalidations = Obs.Metrics.counter "vswitch.cache.revalidations"
+let m_exact_retired = Obs.Metrics.counter "vswitch.cache.exact_retired"
 
 (* Occupancy gauges are global (summed over every cache instance):
    insert/remove adjust them incrementally. *)
@@ -480,6 +481,16 @@ let invalidate_flow t flow ~now ~reason =
     emit_invalidate t ~now ~reason ~dropped:!dropped
   end;
   !dropped
+
+(* A finished flow's exact entry will see no more hits. Dropping it is
+   bookkeeping, not a coherence event: no invalidation count, no trace
+   event, and the megaflows covering the flow stay. *)
+let retire_exact t key =
+  match Fkey.Packed.Table.find t.exact key with
+  | e ->
+      remove_exact t e;
+      Obs.Metrics.incr m_exact_retired
+  | exception Not_found -> ()
 
 let idle_expired t ~now last_used =
   Simtime.span_compare (Simtime.diff now last_used) t.config.idle_timeout >= 0

@@ -103,6 +103,12 @@ val invalidate_flow :
     returns the number of entries dropped. Hooked to
     [Ovs.set_flow_blocked] (offload/demote block and unblock paths). *)
 
+val retire_exact : t -> Netcore.Fkey.Packed.t -> unit
+(** Drop a finished flow's exact entry, if any, counting it in
+    [vswitch.cache.exact_retired]. Unlike {!invalidate_flow} it keeps
+    the covering megaflows, emits no trace event and counts no
+    invalidation. *)
+
 val flush : t -> now:Dcsim.Simtime.t -> reason:string -> int
 (** Drop both tiers wholesale; returns the number of entries dropped. *)
 

@@ -48,8 +48,10 @@ let install_sinks ~vm ~dst_port_base config =
 
 (* A flow is a paced sequence of messages; pacing keeps the generator
    open-loop (no feedback), which is what an arrival-driven scale test
-   wants. The source port is held until the last message has been
-   handed to the guest stack, so no two live flows share an Fkey. *)
+   wants. The last message carries fin, so the datapath can retire the
+   flow's state. The source port is held until the last message has
+   been handed to the guest stack, so no two live flows share an
+   Fkey. *)
 let launch_flow t ~src_port ~dst_port ~size_bytes =
   let flow =
     Fkey.make ~src_ip:(Host.Vm.ip t.vm) ~dst_ip:t.dst_ip ~src_port ~dst_port
@@ -59,9 +61,13 @@ let launch_flow t ~src_port ~dst_port ~size_bytes =
   let gap = t.config.message_gap in
   let rec send_remaining remaining =
     if remaining > 0 && t.running then begin
+      let l4 =
+        if remaining = 1 then Packet.App { fin = true; count = messages }
+        else Packet.Plain
+      in
       let pkt =
         Packet.create ~now:(Engine.now t.engine) ~flow
-          ~payload:t.config.message_size ()
+          ~payload:t.config.message_size ~l4 ()
       in
       Host.Vm.send t.vm pkt;
       ignore (Engine.after t.engine gap (fun () -> send_remaining (remaining - 1)))

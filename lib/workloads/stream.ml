@@ -170,9 +170,14 @@ let start ~engine ~vm config =
         t.bytes_acked <- acked;
         t.in_flight <- (t.bytes_sent - t.bytes_acked) / t.config.message_size
       end;
-      match t.config.paced_rate_bps with
-      | None -> fill_window t
-      | Some _ -> () (* the pacing clock drives sends *));
+      if (not (budget_left t)) && t.bytes_acked >= t.bytes_sent then
+        (* Every byte of a finite transfer is acked: the flow is over,
+           and its handler goes with it. *)
+        Host.Vm.unregister_flow_handler vm (Fkey.reverse flow)
+      else
+        match t.config.paced_rate_bps with
+        | None -> fill_window t
+        | Some _ -> () (* the pacing clock drives sends *));
   (match config.paced_rate_bps with
   | None -> fill_window t
   | Some rate ->

@@ -86,6 +86,10 @@ module Client = struct
         | Some n when t.completed = n ->
             t.finish_time <- Some now;
             t.running <- false;
+            (* The run is over: its connections' handlers go with it. *)
+            Array.iter
+              (fun c -> Host.Vm.unregister_flow_handler t.vm (Fkey.reverse c.flow))
+              t.conns;
             t.finish_cb ()
         | _ -> ()));
     issue t conn

@@ -274,6 +274,44 @@ let test_stream_tail_acked () =
     (Workloads.Stream.bytes_sent s)
     (Workloads.Stream.bytes_acked s)
 
+(* A finished workload unregisters its per-flow handlers: a finite
+   stream once every byte is acked, a transaction client once its
+   request budget completes. *)
+let test_finished_workloads_unregister_handlers () =
+  let tb, a, b = pair_testbed () in
+  let vm = a.Host.Server.vm in
+  Workloads.Stream.install_sink ~vm:b.Host.Server.vm ~port:5001 ();
+  let base = Workloads.Stream.default_config ~dst_ip:(Host.Vm.ip b.Host.Server.vm) in
+  let s =
+    Workloads.Stream.start ~engine:tb.Experiments.Testbed.engine ~vm
+      {
+        base with
+        Workloads.Stream.dst_port = 5001;
+        total_bytes = Some (7 * base.Workloads.Stream.message_size);
+      }
+  in
+  checki "stream handler while running" 1 (Host.Vm.flow_handler_count vm);
+  Experiments.Testbed.run_for tb ~seconds:1.0;
+  checkb "stream finished" true (Workloads.Stream.finished s);
+  checki "no handler for the finished stream" 0 (Host.Vm.flow_handler_count vm);
+  Workloads.Transactions.Server.install ~vm:b.Host.Server.vm ~port:9000
+    ~response_size:64 ();
+  let c =
+    Workloads.Transactions.Client.start ~engine:tb.Experiments.Testbed.engine ~vm
+      {
+        Workloads.Transactions.Client.servers = [ (Host.Vm.ip b.Host.Server.vm, 9000) ];
+        connections = 2;
+        outstanding = 2;
+        request_size = 64;
+        total_requests = Some 50;
+        src_port_base = 41000;
+      }
+  in
+  checki "client handlers while running" 2 (Host.Vm.flow_handler_count vm);
+  Experiments.Testbed.run_for tb ~seconds:1.0;
+  checki "client completed" 50 (Workloads.Transactions.Client.completed c);
+  checki "no handlers for the finished client" 0 (Host.Vm.flow_handler_count vm)
+
 (* The cumulative-count acks must never credit bytes the sender has
    not sent (the old fixed-increment credit could). *)
 let test_stream_ack_never_exceeds_sent () =
@@ -498,6 +536,8 @@ let suite =
       test_flowgen_no_src_port_aliasing;
     t "stream tail batch acked" test_stream_tail_acked;
     t "stream acks never exceed sent" test_stream_ack_never_exceeds_sent;
+    t "finished workloads unregister handlers"
+      test_finished_workloads_unregister_handlers;
     QCheck_alcotest.to_alcotest prop_pareto_mean_converges;
     QCheck_alcotest.to_alcotest prop_lognormal_mean_converges;
     QCheck_alcotest.to_alcotest prop_curve_mean_one;
